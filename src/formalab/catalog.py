@@ -70,12 +70,31 @@ def cycle_string(images) -> str:
 Resolver = Callable[[str], Group]
 
 
+# Keys each group-spec kind must carry besides "kind" (and an optional "name").
+_SPEC_KEYS = {
+    "permutation": ("degree", "generators"),
+    "table": ("table",),
+    "direct": ("factors",),
+    "semidirect": ("normal", "actor", "action"),
+    "matrix_module": ("actor", "p", "dim", "generators"),
+}
+
+
 def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
     """Construct a Group from a group-spec dictionary."""
     if resolve is None:
         resolve = catalog_group
+    if not isinstance(spec, dict):
+        raise PreconditionViolated(
+            f"a group spec must be a JSON object, got {type(spec).__name__}")
     name = spec.get("name", "unnamed")
     kind = spec.get("kind")
+    if kind not in _SPEC_KEYS:
+        raise PreconditionViolated(f"unknown group-spec kind {kind!r}")
+    missing = [k for k in _SPEC_KEYS[kind] if k not in spec]
+    if missing:
+        raise PreconditionViolated(
+            f"{kind} spec {name!r} is missing {', '.join(missing)}")
     if kind == "permutation":
         degree = int(spec["degree"])
         gens = [parse_cycles(c, degree) for c in spec["generators"]]
@@ -102,7 +121,6 @@ def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
             int(spec["p"]), int(spec["dim"]), spec["generators"], H, name=name)
         G._cache["designated_module"] = V
         return G
-    raise PreconditionViolated(f"unknown group-spec kind {kind!r}")
 
 
 def _resolve(ref, resolve: Resolver) -> Group:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSatellite, NotSoluble, PreconditionViolated
+from .errors import FormalabError, NoSatellite, NotSoluble, PreconditionViolated
 from .groups import Group, SubgroupSet, element_orders, quotient_group
 from .lattice import (
     derived_subgroup,
@@ -243,8 +243,8 @@ def residual(G: Group, F: FormationSpec) -> SubgroupSet:
             bits &= N.bits
     res = SubgroupSet(G, bits, check=False)
     # menu formations are closed under subdirect products, so G/G^F is in F
-    assert is_member(F, quotient_group(G, res).target), \
-        f"residual postcondition failed for {F} on {G.name}"
+    if not is_member(F, quotient_group(G, res).target):
+        raise FormalabError(f"residual postcondition failed for {F} on {G.name}")
     G._cache[key] = res
     return res
 

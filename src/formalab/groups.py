@@ -8,7 +8,7 @@ arithmetic; numpy is used only to vectorise table lookups.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,32 +26,57 @@ ORDER_CAP = 512
 ISO_CAP = 128
 
 
+def _index_array(elems: Iterable[int]) -> np.ndarray:
+    if isinstance(elems, np.ndarray):
+        return elems.astype(np.intp, copy=False)
+    return np.asarray(list(elems), dtype=np.intp)
+
+
 def bits_of(elems: Iterable[int]) -> int:
-    bits = 0
-    for e in elems:
-        bits |= 1 << int(e)
-    return bits
+    """Bitmask with bit e set for every element index e (duplicates allowed)."""
+    idx = _index_array(elems)
+    if idx.size == 0:
+        return 0
+    if idx.min() < 0:
+        raise ValueError("negative element index")
+    mask = np.zeros(int(idx.max()) + 1, dtype=bool)
+    mask[idx] = True
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def elems_of(bits: int) -> np.ndarray:
-    out = []
-    e = 0
-    while bits:
-        if bits & 1:
-            out.append(e)
-        bits >>= 1
-        e += 1
-    return np.array(out, dtype=np.intp)
+    """Ascending element indices of the set bits of `bits`."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"),
+                        dtype=np.uint8)
+    # flatnonzero returns a view onto a second array; SubgroupSet caches
+    # element arrays, so copy to keep one array alive instead of two
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).copy()
+
+
+class Origin(NamedTuple):
+    """Link from a quotient or subgroup-as-group back to the group it came from.
+
+    The derived group is either `parent`/`sub`, with `proj` mapping each
+    parent element to its coset's index, or the subgroup `sub` of `parent`
+    re-indexed so that its i-th element (ascending) is index i, with `proj`
+    None.  By the correspondence theorem its subgroups are the images of
+    the parent's subgroups above `sub` (quotient) or below `sub` (subgroup).
+    """
+
+    parent: Group
+    sub: SubgroupSet
+    proj: np.ndarray | None
 
 
 class Group:
     """Finite group on indices 0..n-1 with a dense multiplication table.
 
-    Immutable after construction; the identity is always index 0.
+    Immutable after construction; the identity is always index 0.  `origin`
+    is set on groups built by `quotient_group` and `subgroup_as_group`.
     """
 
     def __init__(self, mul, name: str, gen_idx: Sequence[int] | None = None,
-                 provenance: str = "table"):
+                 provenance: str = "table", origin: Origin | None = None):
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.intp))
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -61,8 +86,8 @@ class Group:
         self.n = n
         self.mul = mul
         self.name = name
-        self.e = 0
         self.provenance = provenance
+        self.origin = origin
         self._validate_table()
         self.inv = self._invert_table()
         if gen_idx is None:
@@ -238,22 +263,22 @@ def closure_elements(G: Group, seed: Iterable[int]) -> np.ndarray:
     the whole group (Lagrange), which short-circuits large joins.
     """
     n, mul = G.n, G.mul
-    elems = np.unique(np.append(np.asarray(list(seed), dtype=np.intp), 0))
     mask = np.zeros(n, dtype=bool)
-    mask[elems] = True
-    new = elems
-    while new.size:
-        prods = np.unique(np.concatenate(
-            [mul[np.ix_(new, elems)].ravel(), mul[np.ix_(elems, new)].ravel()]))
-        fresh = prods[~mask[prods]]
-        if fresh.size == 0:
-            break
-        mask[fresh] = True
+    mask[0] = True
+    mask[_index_array(seed)] = True
+    elems = new = np.flatnonzero(mask)
+    while True:
+        hit = np.zeros(n, dtype=bool)
+        hit[mul[new[:, None], elems]] = True
+        hit[mul[elems[:, None], new]] = True
+        hit &= ~mask
+        if not hit.any():
+            return elems
+        mask |= hit
         elems = np.flatnonzero(mask)
         if elems.size > n // 2:
             return np.arange(n)
-        new = fresh
-    return elems
+        new = np.flatnonzero(hit)
 
 
 def generated_subgroup(G: Group, seed: Iterable[int]) -> SubgroupSet:
@@ -282,23 +307,6 @@ def conjugacy_classes(G: Group) -> list[np.ndarray]:
             classes.append(cls)
         G._cache["conj_classes"] = classes
     return G._cache["conj_classes"]
-
-
-def class_of(G: Group, x: int) -> np.ndarray:
-    if "class_map" not in G._cache:
-        cm = np.zeros(G.n, dtype=np.intp)
-        for i, cls in enumerate(conjugacy_classes(G)):
-            cm[cls] = i
-        G._cache["class_map"] = cm
-    return conjugacy_classes(G)[G._cache["class_map"][x]]
-
-
-def normal_closure_elements(G: Group, seed: Iterable[int]) -> np.ndarray:
-    """Smallest normal subgroup of G containing `seed`."""
-    full = []
-    for x in np.asarray(list(seed), dtype=np.intp):
-        full.append(class_of(G, int(x)))
-    return closure_elements(G, np.concatenate(full) if full else [0])
 
 
 def element_orders(G: Group) -> np.ndarray:
@@ -525,7 +533,8 @@ def quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
         if pg != 0 and pg not in gens:
             gens.append(pg)
     target = Group(mul, f"{G.name}/({N.order})", gen_idx=gens,
-                   provenance=f"quotient of {G.name} by order-{N.order} subgroup")
+                   provenance=f"quotient of {G.name} by order-{N.order} subgroup",
+                   origin=Origin(G, N, proj))
     return QuotientMap(G, target, proj, N)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import FormalabError
 from .formations import FormationSpec, is_member
 from .groups import Group, SubgroupSet, quotient_group
 from .lattice import all_subgroups, core, subgroup_as_group, translate_into
@@ -49,7 +50,8 @@ def int_f(G: Group, F: FormationSpec) -> SubgroupSet:
     """Intersection of all F-maximal subgroups; always normal in G."""
     from .groups import is_normal
     res = _intersection(G, f_maximal_subgroups(G, F))
-    assert is_normal(G, res), "Int_F must be conjugation-invariant"
+    if not is_normal(G, res):
+        raise FormalabError("Int_F must be conjugation-invariant")
     return res
 
 

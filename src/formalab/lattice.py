@@ -1,9 +1,12 @@
 """Exhaustive subgroup lattices and the classical distinguished subgroups.
 
 Lattice enumeration seeds with all cyclic subgroups and closes under
-pairwise join; everything is deduplicated by canonical bitmask.  The
-element-level helpers (derived series, centre, O_p, ...) deliberately do
-not require a lattice so that formation membership tests stay cheap.
+pairwise join; everything is deduplicated by canonical bitmask.  A quotient
+or subgroup-as-group whose parent already has its lattice cached takes its
+lattice from the parent's instead (correspondence theorem), with the same
+members in the same order.  The element-level helpers (derived series,
+centre, O_p, ...) deliberately do not require a lattice so that formation
+membership tests stay cheap.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import numpy as np
 from .errors import NotSoluble, PreconditionViolated, SubgroupCountCapExceeded
 from .groups import (
     Group,
+    Origin,
     QuotientMap,
     SubgroupSet,
     bits_of,
-    class_of,
     closure_elements,
     conjugacy_classes,
     element_orders,
@@ -61,17 +64,10 @@ class Lattice:
     def __init__(self, parent: Group, subgroups: list[SubgroupSet]):
         self.parent = parent
         self.subgroups = subgroups
-        self._index = {s.bits: i for i, s in enumerate(subgroups)}
         self.normal_flags = [is_normal(parent, s) for s in subgroups]
 
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    def index_of(self, sub: SubgroupSet) -> int:
-        return self._index[sub.bits]
-
-    def member(self, bits: int) -> SubgroupSet:
-        return self.subgroups[self._index[bits]]
 
     def normal_members(self) -> list[SubgroupSet]:
         return [s for s, f in zip(self.subgroups, self.normal_flags) if f]
@@ -80,22 +76,46 @@ class Lattice:
         """All lattice members containing `sub` (inclusive)."""
         return [s for s in self.subgroups if sub.bits & s.bits == sub.bits]
 
-    def containment(self) -> list[tuple[int, int]]:
-        """Strict-containment pairs (i, j) with subgroup i < subgroup j."""
-        if "containment" not in self.parent._cache:
-            pairs = []
-            for i, a in enumerate(self.subgroups):
-                for j, b in enumerate(self.subgroups):
-                    if a.order < b.order and a.bits & b.bits == a.bits:
-                        pairs.append((i, j))
-            self.parent._cache["containment"] = pairs
-        return self.parent._cache["containment"]
-
 
 def all_subgroups(G: Group, cap: int = SUBGROUP_CAP) -> Lattice:
-    """Complete subgroup lattice of G (cached on the group)."""
+    """Complete subgroup lattice of G (cached on the group).
+
+    A derived group (`G.origin` set) whose parent's lattice is cached gets
+    its lattice from the parent's; any other group is enumerated.
+    """
     if "lattice" in G._cache:
         return G._cache["lattice"]
+    found = _corresponding_bits(G)
+    if found is None:
+        found = _enumerate_bits(G, cap)
+    elif len(found) > cap:
+        raise SubgroupCountCapExceeded(f"{G.name} has more than {cap} subgroups")
+    subs = [SubgroupSet(G, b, check=False) for b in found]
+    subs.sort(key=lambda s: (s.order, s.bits))
+    lat = Lattice(G, subs)
+    G._cache["lattice"] = lat
+    return lat
+
+
+def _corresponding_bits(G: Group) -> list[int] | None:
+    """Subgroup bitmasks of a derived group read off its parent's cached
+    lattice, or None when G has no parent or the parent has no lattice yet
+    (a parent lattice is never built just to derive from it)."""
+    if G.origin is None:
+        return None
+    parent, sub, proj = G.origin
+    lat = parent._cache.get("lattice")
+    if lat is None:
+        return None
+    if proj is None:  # G is `sub` re-indexed by its ascending element array
+        el = sub.elements
+        return [bits_of(np.searchsorted(el, s.elements)) for s in lat.subgroups
+                if s.issubset(sub)]
+    return [bits_of(proj[s.elements]) for s in lat.members_above(sub)]
+
+
+def _enumerate_bits(G: Group, cap: int) -> list[int]:
+    """Subgroup bitmasks of G by closing the cyclic subgroups under join."""
     cyc: dict[int, np.ndarray] = {}
     for x in range(1, G.n):
         c = closure_elements(G, [x])
@@ -120,11 +140,7 @@ def all_subgroups(G: Group, cap: int = SUBGROUP_CAP) -> Lattice:
     full = (1 << G.n) - 1
     if full not in found:  # trivial group
         found[full] = np.arange(G.n)
-    subs = [SubgroupSet(G, b, check=False) for b in found]
-    subs.sort(key=lambda s: (s.order, s.bits))
-    lat = Lattice(G, subs)
-    G._cache["lattice"] = lat
-    return lat
+    return list(found)
 
 
 def join(G: Group, *subs: SubgroupSet) -> SubgroupSet:
@@ -337,7 +353,8 @@ def subgroup_as_group(G: Group, H: SubgroupSet) -> tuple[Group, np.ndarray]:
         el = H.elements
         sub_mul = np.searchsorted(el, G.mul[np.ix_(el, el)])
         sub = Group(sub_mul, f"{G.name}[{H.order}]",
-                    provenance=f"subgroup of {G.name}")
+                    provenance=f"subgroup of {G.name}",
+                    origin=Origin(G, H, None))
         G._cache[key] = (sub, el)
     return G._cache[key]
 

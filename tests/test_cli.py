@@ -108,3 +108,18 @@ def test_report_determinism(capsys):
     for a, b in zip(first, second):
         a.pop("elapsed_s"), b.pop("elapsed_s")
     assert first == second
+
+
+def test_analyze_spec_without_degree(capsys, tmp_path):
+    path = tmp_path / "nodeg.json"
+    path.write_text(json.dumps({"name": "C5", "kind": "permutation",
+                                "generators": ["(1 2 3 4 5)"]}))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert "degree" in capsys.readouterr().err
+
+
+def test_analyze_spec_not_an_object(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"name": "C5", "kind": "permutation"}]))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert "JSON object" in capsys.readouterr().err

@@ -22,7 +22,13 @@ from formalab import (
     semidirect_product,
     trivial_action,
 )
-from formalab.groups import closure_elements, element_order, element_orders
+from formalab.groups import (
+    bits_of,
+    closure_elements,
+    element_order,
+    element_orders,
+    elems_of,
+)
 
 
 def test_identity_is_index_zero(s4):
@@ -165,3 +171,29 @@ def test_conjugates_preserve_order(g):
     orders = element_orders(s4)
     conj = s4.mul[s4.mul[g, np.arange(24)], s4.inv[g]]
     assert (orders[conj] == orders).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 400), max_size=40))
+def test_bit_conversions_match_loop_reference(elems):
+    ref = 0
+    for e in elems:
+        ref |= 1 << e
+    assert bits_of(elems) == bits_of(iter(elems)) == ref
+    assert bits_of(np.array(elems, dtype=np.intp)) == ref
+    got = elems_of(ref)
+    assert got.dtype == np.intp
+    assert got.tolist() == sorted(set(elems))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, 23), max_size=3))
+def test_closure_matches_naive_reference(seed):
+    s4 = catalog_group("S4")
+    ref = set(seed) | {0}
+    while True:
+        grown = ref | {int(s4.mul[a, b]) for a in ref for b in ref}
+        if grown == ref:
+            break
+        ref = grown
+    assert closure_elements(s4, sorted(seed)).tolist() == sorted(ref)

@@ -2,8 +2,11 @@
 
 import pytest
 
+import formalab.lattice as lattice_mod
 from formalab import (
+    Group,
     all_subgroups,
+    build_group,
     catalog_group,
     catalog_groups,
     centre,
@@ -19,6 +22,7 @@ from formalab import (
     named_subgroup,
     nilpotent_length,
     normal_subgroups,
+    quotient_group,
     section_centralizer,
     socle,
     sylow,
@@ -165,3 +169,46 @@ def test_section_centralizer(s4):
     V = minimal_normal_subgroups(s4)[0]
     C = section_centralizer(s4, V, s4.trivial_subgroup())
     assert C.order == 4
+
+
+# -- lattices derived from the parent's lattice ------------------------------
+
+def _link_free(D):
+    return Group(D.mul, D.name, gen_idx=D.gen_idx)
+
+
+def _no_closure(*args):
+    raise AssertionError("derived lattice was enumerated")
+
+
+def test_derived_lattices_match_enumeration(monkeypatch):
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        lat = all_subgroups(G)
+        derived = [quotient_group(G, N).target for N in lat.normal_members()]
+        derived += [subgroup_as_group(G, H)[0] for H in lat.subgroups]
+        for D in derived:
+            with monkeypatch.context() as m:
+                # a derived lattice needs no closure at all
+                m.setattr(lattice_mod, "closure_elements", _no_closure)
+                got = all_subgroups(D)
+            want = all_subgroups(_link_free(D))
+            assert [s.bits for s in got.subgroups] == \
+                [s.bits for s in want.subgroups], D.name
+            assert got.normal_flags == want.normal_flags, D.name
+
+
+@pytest.mark.parametrize("name, count", [("A5", 59), ("S5", 156)])
+def test_reference_subgroup_counts(name, count):
+    assert len(all_subgroups(catalog_group(name))) == count
+
+
+def test_derived_lattice_without_parent_lattice_is_enumerated():
+    G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
+                     "generators": ["(1 2 3 4)", "(1 2)"]})  # no cached lattice
+    Q = quotient_group(G, derived_subgroup(G)).target
+    H, _ = subgroup_as_group(G, derived_subgroup(G))
+    assert len(all_subgroups(Q)) == 2
+    assert len(all_subgroups(H)) == 10
+    assert "lattice" not in G._cache
