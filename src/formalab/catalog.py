@@ -31,6 +31,8 @@ from .lattice import is_nilpotent, is_soluble
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Cycle string like "(1 2 3)(4 5)" to a tuple of 1-based images."""
+    if not isinstance(text, str):
+        raise InvalidPermutation(f"a cycle string is needed, got {text!r}")
     images = list(range(1, degree + 1))
     body = text.strip()
     if body in ("", "()"):
@@ -95,6 +97,14 @@ def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
     if missing:
         raise PreconditionViolated(
             f"{kind} spec {name!r} is missing {', '.join(missing)}")
+    try:
+        return _build_kind(kind, spec, name, resolve)
+    except TypeError as exc:  # e.g. int(None), or iterating over a number
+        raise PreconditionViolated(
+            f"{kind} spec {name!r} has a value of the wrong type: {exc}") from exc
+
+
+def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
     if kind == "permutation":
         degree = int(spec["degree"])
         gens = [parse_cycles(c, degree) for c in spec["generators"]]
@@ -135,6 +145,10 @@ def _extend_action(H: Group, gen_actions) -> np.ndarray:
         raise PreconditionViolated(
             f"need one action permutation per generator of {H.name}")
     nn = gen_actions[0].size if gen_actions else 1
+    if any(a.shape != (nn,) or not np.array_equal(np.sort(a), np.arange(nn))
+           for a in gen_actions):
+        raise PreconditionViolated(
+            f"each generator action must be a permutation of 0..{nn - 1}")
     action = np.full((H.n, nn), -1, dtype=np.intp)
     action[0] = np.arange(nn)
     queue = [0]

@@ -21,10 +21,12 @@ from .groups import (
     closure_elements,
     conjugacy_classes,
     is_normal,
+    memo,
     quotient_group,
     semidirect_product,
 )
 from .lattice import (
+    minimal_members,
     normal_subgroups,
     prime_factors,
     section_centralizer,
@@ -65,15 +67,13 @@ class ChiefSeries:
                      for k, h in zip(self.terms, self.terms[1:]))
 
 
+@memo("min_norm_over")
 def minimal_normals_over(G: Group, Z: SubgroupSet) -> list[SubgroupSet]:
     """Lifts of the minimal normal subgroups of G/Z, in canonical order.
 
     Each candidate is Z together with the G-conjugacy class of one element
     outside Z; minimal candidates are exactly the lifted minimal normals.
     """
-    key = ("min_norm_over", Z.bits)
-    if key in G._cache:
-        return G._cache[key]
     cands: dict[int, SubgroupSet] = {}
     for cls in conjugacy_classes(G):
         x = int(cls[0])
@@ -83,11 +83,8 @@ def minimal_normals_over(G: Group, Z: SubgroupSet) -> list[SubgroupSet]:
         b = bits_of(elems)
         if b not in cands:
             cands[b] = SubgroupSet(G, b, check=False)
-    mins = [s for s in cands.values()
-            if not any(t.bits != s.bits and t.bits & s.bits == t.bits
-                       for t in cands.values())]
+    mins = minimal_members(cands.values())
     mins.sort(key=lambda s: (s.order, s.bits))
-    G._cache[key] = mins
     return mins
 
 
@@ -120,11 +117,9 @@ def chief_series_through(G: Group, N: SubgroupSet,
 
 # -- centrality -------------------------------------------------------------
 
+@memo("quot")
 def _quotient_by(G: Group, N: SubgroupSet):
-    key = ("quot", N.bits)
-    if key not in G._cache:
-        G._cache[key] = quotient_group(G, N)
-    return G._cache[key]
+    return quotient_group(G, N)
 
 
 def is_f_central_satellite(G: Group, fac: ChiefFactor,
@@ -163,15 +158,16 @@ def is_f_central_semidirect(G: Group, fac: ChiefFactor,
 
 
 def is_f_central(G: Group, fac: ChiefFactor, F: FormationSpec) -> bool:
-    key = ("central", fac.H.bits, fac.K.bits, F)
-    if key in G._cache:
-        return G._cache[key]
+    return _is_f_central(G, fac.H, fac.K, F)
+
+
+@memo("central")
+def _is_f_central(G: Group, H: SubgroupSet, K: SubgroupSet,
+                  F: FormationSpec) -> bool:
+    fac = ChiefFactor(G, H, K)
     if F.has_satellite:
-        res = is_f_central_satellite(G, fac, F)
-    else:
-        res = is_f_central_semidirect(G, fac, F)
-    G._cache[key] = res
-    return res
+        return is_f_central_satellite(G, fac, F)
+    return is_f_central_semidirect(G, fac, F)
 
 
 # -- hypercentre ------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormalabError, NoSatellite, NotSoluble, PreconditionViolated
-from .groups import Group, SubgroupSet, element_orders, quotient_group
+from .groups import Group, SubgroupSet, element_orders, memo, quotient_group
 from .lattice import (
     derived_subgroup,
     group_exponent,
@@ -58,10 +58,6 @@ class FormationSpec:
             raise PreconditionViolated("NilPow needs a length r >= 0")
         if self.tag == "AExp" and (self.exp is None or self.exp < 1):
             raise PreconditionViolated("AExp needs a positive exponent")
-
-    @property
-    def hereditary(self) -> bool:
-        return True
 
     @property
     def saturated(self) -> bool:
@@ -177,15 +173,11 @@ def _chief_factor_orders(G: Group) -> list[int]:
 
 def is_member(F: FormationSpec, G: Group) -> bool:
     """Membership of G in the built-in formation F."""
-    key = ("member", F)
-    if key in G._cache:
-        return G._cache[key]
-    res = _is_member(F, G)
-    G._cache[key] = res
-    return res
+    return _is_member(G, F)
 
 
-def _is_member(F: FormationSpec, G: Group) -> bool:
+@memo("member")
+def _is_member(G: Group, F: FormationSpec) -> bool:
     tag = F.tag
     if tag == "Triv":
         return G.n == 1
@@ -230,11 +222,9 @@ def _is_member(F: FormationSpec, G: Group) -> bool:
 
 # -- residuals --------------------------------------------------------------
 
+@memo("residual")
 def residual(G: Group, F: FormationSpec) -> SubgroupSet:
     """Intersection of all normal N with G/N in F."""
-    key = ("residual", F)
-    if key in G._cache:
-        return G._cache[key]
     bits = (1 << G.n) - 1
     for N in normal_subgroups(G):
         if bits & N.bits == bits:
@@ -245,7 +235,6 @@ def residual(G: Group, F: FormationSpec) -> SubgroupSet:
     # menu formations are closed under subdirect products, so G/G^F is in F
     if not is_member(F, quotient_group(G, res).target):
         raise FormalabError(f"residual postcondition failed for {F} on {G.name}")
-    G._cache[key] = res
     return res
 
 
@@ -259,12 +248,7 @@ def satellite_member(F: FormationSpec, p: int, G: Group) -> bool:
     """Membership of G in the canonical local satellite value F(p)."""
     if not F.has_satellite:
         raise NoSatellite(f"{F} has no local satellite table")
-    key = ("sat", F, p)
-    if key in G._cache:
-        return G._cache[key]
-    res = _satellite_member(F, p, G)
-    G._cache[key] = res
-    return res
+    return _satellite_member(G, F, p)
 
 
 def _abelian_of_exponent_dividing(G: Group, m: int) -> bool:
@@ -273,7 +257,8 @@ def _abelian_of_exponent_dividing(G: Group, m: int) -> bool:
     return is_abelian(G) and m % group_exponent(G) == 0
 
 
-def _satellite_member(F: FormationSpec, p: int, G: Group) -> bool:
+@memo("sat")
+def _satellite_member(G: Group, F: FormationSpec, p: int) -> bool:
     tag = F.tag
     if tag == "Triv":
         return False

@@ -4,10 +4,15 @@ A group is stored as an n-by-n table of element indices with the identity
 fixed at index 0.  All downstream structures (subgroups, lattices, chief
 series) are bitmasks over 0..n-1, so everything here is exact integer
 arithmetic; numpy is used only to vectorise table lookups.
+
+Per-group results (lattices, distinguished subgroups, memberships, ...)
+are memoised on the group by the `memo` decorator; a catalog group's
+`designated_module` is the one cache entry written by hand.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +56,30 @@ def elems_of(bits: int) -> np.ndarray:
     # flatnonzero returns a view onto a second array; SubgroupSet caches
     # element arrays, so copy to keep one array alive instead of two
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).copy()
+
+
+_MISS = object()
+
+
+def memo(family: str):
+    """Cache `fn(G, *args)` on `G._cache`, one entry per group and arguments.
+
+    The key is `family` alone when there are no further arguments, else the
+    tuple of `family` and the arguments, with each SubgroupSet replaced by
+    its bitmask so the cache holds no subgroup handles.  Arguments are
+    positional and hashable.  An exception propagates and caches nothing.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(G, *args):
+            key = (family, *[a.bits if isinstance(a, SubgroupSet) else a
+                             for a in args]) if args else family
+            res = G._cache.get(key, _MISS)
+            if res is _MISS:
+                res = G._cache[key] = fn(G, *args)
+            return res
+        return cached
+    return decorate
 
 
 class Origin(NamedTuple):
@@ -141,9 +170,6 @@ class Group:
     def op(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
 
-    def inverse(self, x: int) -> int:
-        return int(self.inv[x])
-
     def conjugate(self, g: int, x: int) -> int:
         return int(self.mul[self.mul[g, x], self.inv[g]])
 
@@ -206,9 +232,6 @@ class SubgroupSet:
 
     def issubset(self, other: "SubgroupSet") -> bool:
         return self.bits & other.bits == self.bits
-
-    def is_proper(self) -> bool:
-        return self.order < self.parent.n
 
     def __and__(self, other: "SubgroupSet") -> "SubgroupSet":
         if other.parent is not self.parent:
@@ -285,41 +308,39 @@ def generated_subgroup(G: Group, seed: Iterable[int]) -> SubgroupSet:
     return SubgroupSet(G, bits_of(closure_elements(G, seed)), check=False)
 
 
+@memo("conj_classes")
 def conjugacy_classes(G: Group) -> list[np.ndarray]:
     """Conjugacy classes of G, ordered by least element."""
-    if "conj_classes" not in G._cache:
-        seen = np.zeros(G.n, dtype=bool)
-        classes = []
-        for x in range(G.n):
-            if seen[x]:
-                continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for g in G.gen_idx:
-                    z = G.conjugate(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            cls = np.array(sorted(orbit), dtype=np.intp)
-            seen[cls] = True
-            classes.append(cls)
-        G._cache["conj_classes"] = classes
-    return G._cache["conj_classes"]
+    seen = np.zeros(G.n, dtype=bool)
+    classes = []
+    for x in range(G.n):
+        if seen[x]:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in G.gen_idx:
+                z = G.conjugate(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        cls = np.array(sorted(orbit), dtype=np.intp)
+        seen[cls] = True
+        classes.append(cls)
+    return classes
 
 
+@memo("elem_orders")
 def element_orders(G: Group) -> np.ndarray:
-    if "elem_orders" not in G._cache:
-        orders = np.zeros(G.n, dtype=np.intp)
-        for x in range(G.n):
-            k, y = 1, x
-            while y != 0:
-                y = G.op(y, x)
-                k += 1
-            orders[x] = k
-        G._cache["elem_orders"] = orders
-    return G._cache["elem_orders"]
+    orders = np.zeros(G.n, dtype=np.intp)
+    for x in range(G.n):
+        k, y = 1, x
+        while y != 0:
+            y = G.op(y, x)
+            k += 1
+        orders[x] = k
+    return orders
 
 
 def element_order(G: Group, x: int) -> int:
@@ -551,16 +572,15 @@ def is_normal(G: Group, H: SubgroupSet) -> bool:
 
 # -- isomorphism testing ----------------------------------------------------
 
+@memo("iso_inv")
 def _iso_invariants(G: Group) -> tuple:
-    if "iso_inv" not in G._cache:
-        orders = element_orders(G)
-        classes = conjugacy_classes(G)
-        G._cache["iso_inv"] = (
-            G.n,
-            tuple(sorted(np.bincount(orders).tolist())),
-            tuple(sorted((len(c), int(orders[c[0]])) for c in classes)),
-        )
-    return G._cache["iso_inv"]
+    orders = element_orders(G)
+    classes = conjugacy_classes(G)
+    return (
+        G.n,
+        tuple(sorted(np.bincount(orders).tolist())),
+        tuple(sorted((len(c), int(orders[c[0]])) for c in classes)),
+    )
 
 
 def _extend_hom(A: Group, B: Group, gens: Sequence[int],

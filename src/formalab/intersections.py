@@ -6,8 +6,15 @@ from dataclasses import dataclass
 
 from .errors import FormalabError
 from .formations import FormationSpec, is_member
-from .groups import Group, SubgroupSet, quotient_group
-from .lattice import all_subgroups, core, subgroup_as_group, translate_into
+from .groups import Group, SubgroupSet, is_normal, memo, quotient_group
+from .lattice import (
+    all_subgroups,
+    core,
+    intersection,
+    maximal_members,
+    subgroup_as_group,
+    translate_into,
+)
 
 
 @dataclass(frozen=True)
@@ -26,55 +33,36 @@ def _in_formation(G: Group, H: SubgroupSet, F: FormationSpec) -> bool:
     return is_member(F, sub)
 
 
+@memo("f_maximal")
 def f_maximal_subgroups(G: Group, F: FormationSpec) -> list[SubgroupSet]:
     """Inclusion-maximal members of {H <= G : H in F}."""
-    key = ("f_maximal", F)
-    if key in G._cache:
-        return G._cache[key]
-    members = [s for s in all_subgroups(G).subgroups if _in_formation(G, s, F)]
-    out = [s for s in members
-           if not any(s.bits != t.bits and s.bits & t.bits == s.bits
-                      for t in members)]
-    G._cache[key] = out
-    return out
-
-
-def _intersection(G: Group, family) -> SubgroupSet:
-    bits = (1 << G.n) - 1  # empty intersection is G by convention
-    for s in family:
-        bits &= s.bits
-    return SubgroupSet(G, bits, check=False)
+    return maximal_members([s for s in all_subgroups(G).subgroups
+                            if _in_formation(G, s, F)])
 
 
 def int_f(G: Group, F: FormationSpec) -> SubgroupSet:
     """Intersection of all F-maximal subgroups; always normal in G."""
-    from .groups import is_normal
-    res = _intersection(G, f_maximal_subgroups(G, F))
+    res = intersection(G, f_maximal_subgroups(G, F))
     if not is_normal(G, res):
         raise FormalabError("Int_F must be conjugation-invariant")
     return res
 
 
+@memo("kstep")
 def _step_admissible(G: Group, A: SubgroupSet, B: SubgroupSet,
                      F: FormationSpec) -> bool:
     """A < B is a valid chain step: A normal in B, or B/core_B(A) in F."""
-    key = ("kstep", A.bits, B.bits, F)
-    if key in G._cache:
-        return G._cache[key]
-    c = core(G, A, within=B)
-    if c.bits == A.bits:  # core equals A means A is normal in B
-        res = True
-    else:
-        qkey = ("kquot", B.bits, c.bits, F)
-        if qkey in G._cache:
-            res = G._cache[qkey]
-        else:
-            bgrp, _ = subgroup_as_group(G, B)
-            quot = quotient_group(bgrp, translate_into(G, B, c)).target
-            res = is_member(F, quot)
-            G._cache[qkey] = res
-    G._cache[key] = res
-    return res
+    c = core(G, A, B)
+    # core equals A means A is normal in B
+    return c.bits == A.bits or _quotient_in(G, B, c, F)
+
+
+@memo("kquot")
+def _quotient_in(G: Group, B: SubgroupSet, N: SubgroupSet,
+                 F: FormationSpec) -> bool:
+    """B/N in F, for N <= B normal in B."""
+    bgrp, _ = subgroup_as_group(G, B)
+    return is_member(F, quotient_group(bgrp, translate_into(G, B, N)).target)
 
 
 def is_k_f_subnormal(G: Group, H: SubgroupSet, F: FormationSpec) -> bool:
@@ -103,7 +91,7 @@ def int_star_f(G: Group, F: FormationSpec) -> SubgroupSet:
     """Intersection of the non-K-F-subnormal F-maximal subgroups."""
     family = [s for s in f_maximal_subgroups(G, F)
               if not is_k_f_subnormal(G, s, F)]
-    return _intersection(G, family)
+    return intersection(G, family)
 
 
 def f_max_report(G: Group, F: FormationSpec) -> FMaxReport:
@@ -113,6 +101,6 @@ def f_max_report(G: Group, F: FormationSpec) -> FMaxReport:
         formation=F,
         f_maximal=fmax,
         knormal_flags=flags,
-        int_f=_intersection(G, fmax),
-        int_star=_intersection(G, [s for s, fl in zip(fmax, flags) if not fl]),
+        int_f=intersection(G, fmax),
+        int_star=intersection(G, [s for s, fl in zip(fmax, flags) if not fl]),
     )

@@ -15,7 +15,12 @@ from math import lcm
 
 import numpy as np
 
-from .errors import NotSoluble, PreconditionViolated, SubgroupCountCapExceeded
+from .errors import (
+    FormalabError,
+    NotSoluble,
+    PreconditionViolated,
+    SubgroupCountCapExceeded,
+)
 from .groups import (
     Group,
     Origin,
@@ -26,6 +31,7 @@ from .groups import (
     conjugacy_classes,
     element_orders,
     is_normal,
+    memo,
     quotient_group,
 )
 
@@ -77,24 +83,22 @@ class Lattice:
         return [s for s in self.subgroups if sub.bits & s.bits == sub.bits]
 
 
-def all_subgroups(G: Group, cap: int = SUBGROUP_CAP) -> Lattice:
-    """Complete subgroup lattice of G (cached on the group).
+@memo("lattice")
+def all_subgroups(G: Group) -> Lattice:
+    """Complete subgroup lattice of G, at most SUBGROUP_CAP members.
 
     A derived group (`G.origin` set) whose parent's lattice is cached gets
     its lattice from the parent's; any other group is enumerated.
     """
-    if "lattice" in G._cache:
-        return G._cache["lattice"]
     found = _corresponding_bits(G)
     if found is None:
-        found = _enumerate_bits(G, cap)
-    elif len(found) > cap:
-        raise SubgroupCountCapExceeded(f"{G.name} has more than {cap} subgroups")
+        found = _enumerate_bits(G)
+    elif len(found) > SUBGROUP_CAP:
+        raise SubgroupCountCapExceeded(
+            f"{G.name} has more than {SUBGROUP_CAP} subgroups")
     subs = [SubgroupSet(G, b, check=False) for b in found]
     subs.sort(key=lambda s: (s.order, s.bits))
-    lat = Lattice(G, subs)
-    G._cache["lattice"] = lat
-    return lat
+    return Lattice(G, subs)
 
 
 def _corresponding_bits(G: Group) -> list[int] | None:
@@ -114,7 +118,7 @@ def _corresponding_bits(G: Group) -> list[int] | None:
     return [bits_of(proj[s.elements]) for s in lat.members_above(sub)]
 
 
-def _enumerate_bits(G: Group, cap: int) -> list[int]:
+def _enumerate_bits(G: Group) -> list[int]:
     """Subgroup bitmasks of G by closing the cyclic subgroups under join."""
     cyc: dict[int, np.ndarray] = {}
     for x in range(1, G.n):
@@ -132,9 +136,9 @@ def _enumerate_bits(G: Group, cap: int) -> list[int]:
             j = closure_elements(G, np.concatenate([hel, cel]))
             jb = bits_of(j)
             if jb not in found:
-                if len(found) >= cap:
+                if len(found) >= SUBGROUP_CAP:
                     raise SubgroupCountCapExceeded(
-                        f"{G.name} has more than {cap} subgroups")
+                        f"{G.name} has more than {SUBGROUP_CAP} subgroups")
                 found[jb] = j
                 queue.append((jb, j))
     full = (1 << G.n) - 1
@@ -152,51 +156,57 @@ def normal_subgroups(G: Group) -> list[SubgroupSet]:
     return all_subgroups(G).normal_members()
 
 
-def maximal_subgroups(G: Group, within: SubgroupSet | None = None) -> list[SubgroupSet]:
-    """Inclusion-maximal proper subgroups of `within` (default: of G)."""
-    if within is None:
-        within = G.full_subgroup()
-    cands = [s for s in all_subgroups(G).subgroups
-             if s.bits != within.bits and s.bits & within.bits == s.bits]
-    out = []
-    for s in cands:
-        if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in cands):
-            out.append(s)
-    return out
+def maximal_members(family) -> list[SubgroupSet]:
+    """Members of the collection `family` inside no other member, in order."""
+    return [s for s in family
+            if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in family)]
+
+
+def minimal_members(family) -> list[SubgroupSet]:
+    """Members of the collection `family` containing no other member, in order."""
+    return [s for s in family
+            if not any(t.bits != s.bits and t.bits & s.bits == t.bits for t in family)]
+
+
+def intersection(G: Group, family) -> SubgroupSet:
+    """Intersection of a family of subgroups of G; G itself if it is empty."""
+    bits = (1 << G.n) - 1
+    for s in family:
+        bits &= s.bits
+    return SubgroupSet(G, bits, check=False)
+
+
+def maximal_subgroups(G: Group) -> list[SubgroupSet]:
+    """Inclusion-maximal proper subgroups of G."""
+    return maximal_members([s for s in all_subgroups(G).subgroups if s.order < G.n])
 
 
 def minimal_normal_subgroups(G: Group) -> list[SubgroupSet]:
-    nontriv = [s for s in normal_subgroups(G) if 1 < s.order]
-    return [s for s in nontriv
-            if not any(t.order > 1 and t.bits != s.bits and t.bits & s.bits == t.bits
-                       for t in nontriv)]
+    return minimal_members([s for s in normal_subgroups(G) if s.order > 1])
 
 
 def core(G: Group, H: SubgroupSet, within: SubgroupSet | None = None) -> SubgroupSet:
     """Intersection of all conjugates of H by elements of `within` (default G)."""
-    key = ("core", H.bits, within.bits if within else None)
-    if key in G._cache:
-        return G._cache[key]
+    return _core(G, H, G.full_subgroup() if within is None else within)
+
+
+@memo("core")
+def _core(G: Group, H: SubgroupSet, within: SubgroupSet) -> SubgroupSet:
     hel = H.elements
-    conj_by = range(G.n) if within is None else within.elements
     cur = H.bits
-    for g in conj_by:
+    for g in within.elements:
         conj = G.mul[G.mul[g, hel], G.inv[g]]
         cur &= bits_of(conj)
         if cur == 1:
             break
-    res = SubgroupSet(G, cur, check=False)
-    G._cache[key] = res
-    return res
+    return SubgroupSet(G, cur, check=False)
 
 
+@memo("sec_cent")
 def section_centralizer(G: Group, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet:
     """C_G(H/K) = { g : [g, h] in K for all h in H }."""
     if not (K.issubset(H) and is_normal(G, K) and is_normal(G, H)):
         raise PreconditionViolated("need K <= H with both normal in G")
-    key = ("sec_cent", H.bits, K.bits)
-    if key in G._cache:
-        return G._cache[key]
     hel = H.elements
     kmask = np.zeros(G.n, dtype=bool)
     kmask[K.elements] = True
@@ -206,22 +216,17 @@ def section_centralizer(G: Group, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet
         comm = G.mul[G.mul[G.mul[g, hel], G.inv[g]], hinv]
         if kmask[comm].all():
             members.append(g)
-    res = SubgroupSet(G, bits_of(members), check=False)
-    G._cache[key] = res
-    return res
+    return SubgroupSet(G, bits_of(members), check=False)
 
 
 # -- element-level structural subgroups (no lattice required) ---------------
 
+@memo("derived")
 def derived_subgroup(G: Group) -> SubgroupSet:
-    if "derived" not in G._cache:
-        idx = np.arange(G.n)
-        a = G.mul                       # a[x,y] = xy
-        b = G.mul.T                     # b[x,y] = yx
-        comms = np.unique(G.mul[a, G.inv[b]])   # (xy)(yx)^-1 = x y x^-1 y^-1
-        G._cache["derived"] = SubgroupSet(
-            G, bits_of(closure_elements(G, comms)), check=False)
-    return G._cache["derived"]
+    a = G.mul                       # a[x,y] = xy
+    b = G.mul.T                     # b[x,y] = yx
+    comms = np.unique(G.mul[a, G.inv[b]])   # (xy)(yx)^-1 = x y x^-1 y^-1
+    return SubgroupSet(G, bits_of(closure_elements(G, comms)), check=False)
 
 
 def derived_series(G: Group) -> list[SubgroupSet]:
@@ -235,35 +240,32 @@ def derived_series(G: Group) -> list[SubgroupSet]:
     return series
 
 
+@memo("soluble")
 def is_soluble(G: Group) -> bool:
-    if "soluble" not in G._cache:
-        G._cache["soluble"] = derived_series(G)[-1].order == 1
-    return G._cache["soluble"]
+    return derived_series(G)[-1].order == 1
 
 
+@memo("centre")
 def centre(G: Group) -> SubgroupSet:
-    if "centre" not in G._cache:
-        members = np.flatnonzero((G.mul == G.mul.T).all(axis=1))
-        G._cache["centre"] = SubgroupSet(G, bits_of(members), check=False)
-    return G._cache["centre"]
+    members = np.flatnonzero((G.mul == G.mul.T).all(axis=1))
+    return SubgroupSet(G, bits_of(members), check=False)
 
 
+@memo("ucs")
 def upper_central_series(G: Group) -> list[SubgroupSet]:
     """1 = Z_0 <= Z_1 <= ... up to the stable term Z_inf."""
-    if "ucs" not in G._cache:
-        series = [G.trivial_subgroup()]
-        while True:
-            z = series[-1]
-            if z.order == G.n:
-                break
-            qm = quotient_group(G, z)
-            zq = centre(qm.target)
-            nxt = qm.preimage_of(zq)
-            if nxt.bits == z.bits:
-                break
-            series.append(nxt)
-        G._cache["ucs"] = series
-    return G._cache["ucs"]
+    series = [G.trivial_subgroup()]
+    while True:
+        z = series[-1]
+        if z.order == G.n:
+            break
+        qm = quotient_group(G, z)
+        zq = centre(qm.target)
+        nxt = qm.preimage_of(zq)
+        if nxt.bits == z.bits:
+            break
+        series.append(nxt)
+    return series
 
 
 def hypercentre(G: Group) -> SubgroupSet:
@@ -292,10 +294,11 @@ def is_abelian(G: Group) -> bool:
 
 def o_pi(G: Group, pi) -> SubgroupSet:
     """Largest normal pi-subgroup: product of pi-group normal closures."""
-    pi = frozenset(pi)
-    key = ("o_pi", pi)
-    if key in G._cache:
-        return G._cache[key]
+    return _o_pi(G, frozenset(pi))
+
+
+@memo("o_pi")
+def _o_pi(G: Group, pi: frozenset[int]) -> SubgroupSet:
     orders = element_orders(G)
     acc = np.array([0], dtype=np.intp)
     acc_bits = 1
@@ -309,22 +312,19 @@ def o_pi(G: Group, pi) -> SubgroupSet:
         if all(p in pi for p in prime_factors(nc.size)):
             acc = closure_elements(G, np.concatenate([acc, nc]))
             acc_bits = bits_of(acc)
-    res = SubgroupSet(G, acc_bits, check=False)
-    G._cache[key] = res
-    return res
+    return SubgroupSet(G, acc_bits, check=False)
 
 
 def o_p(G: Group, p: int) -> SubgroupSet:
     return o_pi(G, (p,))
 
 
+@memo("fitting")
 def fitting_subgroup(G: Group) -> SubgroupSet:
     """Product of the O_p over the primes dividing |G| (lattice-free)."""
-    if "fitting" not in G._cache:
-        parts = [o_p(G, p).elements for p in prime_factors(G.n)]
-        elems = closure_elements(G, np.concatenate(parts)) if parts else [0]
-        G._cache["fitting"] = SubgroupSet(G, bits_of(elems), check=False)
-    return G._cache["fitting"]
+    parts = [o_p(G, p).elements for p in prime_factors(G.n)]
+    elems = closure_elements(G, np.concatenate(parts)) if parts else [0]
+    return SubgroupSet(G, bits_of(elems), check=False)
 
 
 def nilpotent_length(G: Group) -> int:
@@ -342,21 +342,19 @@ def nilpotent_length(G: Group) -> int:
 
 # -- lattice-backed named subgroups ----------------------------------------
 
+@memo("as_group")
 def subgroup_as_group(G: Group, H: SubgroupSet) -> tuple[Group, np.ndarray]:
     """Reindex a subgroup as a standalone Group.
 
     Returns (group, elems) where elems[i] is the parent index of the
     subgroup's element i; sorted ascending so identity stays at 0.
     """
-    key = ("as_group", H.bits)
-    if key not in G._cache:
-        el = H.elements
-        sub_mul = np.searchsorted(el, G.mul[np.ix_(el, el)])
-        sub = Group(sub_mul, f"{G.name}[{H.order}]",
-                    provenance=f"subgroup of {G.name}",
-                    origin=Origin(G, H, None))
-        G._cache[key] = (sub, el)
-    return G._cache[key]
+    el = H.elements
+    sub_mul = np.searchsorted(el, G.mul[np.ix_(el, el)])
+    sub = Group(sub_mul, f"{G.name}[{H.order}]",
+                provenance=f"subgroup of {G.name}",
+                origin=Origin(G, H, None))
+    return sub, el
 
 
 def translate_into(G: Group, H: SubgroupSet, S: SubgroupSet) -> SubgroupSet:
@@ -373,11 +371,7 @@ def translate_out(G: Group, H: SubgroupSet, S_sub: SubgroupSet) -> SubgroupSet:
 
 
 def frattini_subgroup(G: Group) -> SubgroupSet:
-    maxes = maximal_subgroups(G)
-    bits = (1 << G.n) - 1
-    for m in maxes:
-        bits &= m.bits
-    return SubgroupSet(G, bits, check=False)
+    return intersection(G, maximal_subgroups(G))
 
 
 def socle(G: Group) -> SubgroupSet:
@@ -429,11 +423,10 @@ def named_subgroup(G: Group, kind: str, pi=None, p: int | None = None) -> Subgro
 
 def sylow(G: Group, p: int) -> SubgroupSet:
     """First subgroup (canonical order) whose order is the p-part of |G|."""
-    target = pi_part(G.n, (p,))
-    for s in all_subgroups(G).subgroups:
-        if s.order == target:
-            return s
-    raise AssertionError("Sylow subgroup missing from lattice")  # unreachable
+    s = hall(G, (p,))
+    if s is None:
+        raise FormalabError(f"Sylow {p}-subgroup missing from the lattice of {G.name}")
+    return s
 
 
 def hall(G: Group, pi) -> SubgroupSet | None:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import formalab.lattice as lattice_mod
 from formalab.cli import EXIT_CAP, EXIT_LOAD, EXIT_OK, EXIT_SUITE, main
 
 
@@ -123,3 +124,31 @@ def test_analyze_spec_not_an_object(capsys, tmp_path):
     path.write_text(json.dumps([{"name": "C5", "kind": "permutation"}]))
     assert main(["analyze", str(path)]) == EXIT_LOAD
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "permutation", "degree": None, "generators": ["(1 2 3 4 5)"]},
+    {"kind": "permutation", "degree": 5, "generators": 5},
+    {"kind": "permutation", "degree": 5, "generators": [None]},
+    {"kind": "table", "table": None},
+    {"kind": "direct", "factors": 2},
+    {"kind": "semidirect", "normal": "C3", "actor": "C2", "action": [[5, 5, 5]]},
+    {"kind": "matrix_module", "actor": "C3", "p": None, "dim": 2,
+     "generators": [[[0, 1], [1, 1]]]},
+], ids=["degree-null", "generators-int", "cycle-null", "table-null",
+        "factors-int", "action-out-of-range", "p-null"])
+def test_analyze_spec_with_wrong_value_type(capsys, tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_analyze_over_subgroup_cap(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "s4.json"
+    # a group built from a file has no cached lattice
+    path.write_text(json.dumps({"name": "S4", "kind": "permutation", "degree": 4,
+                                "generators": ["(1 2 3 4)", "(1 2)"]}))
+    monkeypatch.setattr(lattice_mod, "SUBGROUP_CAP", 5)
+    assert main(["analyze", str(path)]) == EXIT_CAP
+    assert "subgroups" in capsys.readouterr().err

@@ -1,34 +1,58 @@
 """Multiplication-table construction, products, quotients, isomorphism."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formalab
 from formalab import (
+    NIL,
+    SUP,
     ClosureCapExceeded,
+    FormationSpec,
     Group,
     InvalidPermutation,
     NotNormal,
+    PreconditionViolated,
     RelationMismatch,
+    SubgroupSet,
+    all_subgroups,
     are_isomorphic,
+    build_group,
     catalog_group,
+    centre,
+    derived_subgroup,
     direct_product,
     elementary_abelian_vector_group,
+    f_max_report,
+    fitting_subgroup,
     generated_subgroup,
     group_from_permutations,
+    is_member,
+    is_soluble,
     matrix_module_semidirect,
     quotient_group,
+    residual,
+    satellite_member,
+    section_centralizer,
     semidirect_product,
     trivial_action,
+    upper_central_series,
+    z_pi_f,
 )
 from formalab.groups import (
     bits_of,
     closure_elements,
+    conjugacy_classes,
     element_order,
     element_orders,
     elems_of,
 )
+from formalab.lattice import subgroup_as_group
 
 
 def test_identity_is_index_zero(s4):
@@ -197,3 +221,78 @@ def test_closure_matches_naive_reference(seed):
             break
         ref = grown
     assert closure_elements(s4, sorted(seed)).tolist() == sorted(ref)
+
+
+# -- memoisation ---------------------------------------------------------------
+
+MEMO_FAMILIES = {
+    "conj_classes", "elem_orders", "iso_inv",
+    "lattice", "core", "sec_cent", "derived", "soluble", "centre", "ucs",
+    "o_pi", "fitting", "as_group",
+    "min_norm_over", "quot", "central",
+    "member", "residual", "sat",
+    "f_maximal", "kstep", "kquot",
+}
+
+
+def _fresh_s4():
+    # built anew, so no other test has warmed its cache
+    return build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
+                        "generators": ["(1 2 3 4)", "(1 2)"]})
+
+
+def test_memo_returns_the_cached_object():
+    G = _fresh_s4()
+    assert all_subgroups(G) is all_subgroups(G)
+    assert conjugacy_classes(G) is conjugacy_classes(G)
+    assert f_max_report(G, NIL).f_maximal == f_max_report(G, NIL).f_maximal
+    assert z_pi_f(G, SUP) == z_pi_f(G, SUP)
+
+
+def test_memo_keys_equal_subgroups_to_one_entry():
+    G = _fresh_s4()
+    D = derived_subgroup(G)
+    twin = SubgroupSet(G, D.bits)
+    assert twin is not D
+    assert subgroup_as_group(G, twin) is subgroup_as_group(G, D)
+    assert [k for k in G._cache if k[0] == "as_group"] == [("as_group", D.bits)]
+
+
+def test_memo_keys_hold_no_subgroups():
+    G = _fresh_s4()
+    all_subgroups(G)
+    is_soluble(G)
+    centre(G)
+    upper_central_series(G)
+    fitting_subgroup(G)
+    are_isomorphic(G, G)
+    for F in (NIL, SUP):
+        f_max_report(G, F)
+        z_pi_f(G, F)
+        residual(G, F)
+        is_member(F, G)
+        satellite_member(F, 2, G)
+    families = set()
+    for key in G._cache:
+        parts = key if isinstance(key, tuple) else (key,)
+        assert all(isinstance(p, (str, int, frozenset, FormationSpec))
+                   for p in parts), key
+        families.add(parts[0])
+    assert families == MEMO_FAMILIES
+
+
+def test_memo_caches_nothing_when_the_call_raises():
+    G = _fresh_s4()
+    D = derived_subgroup(G)
+    with pytest.raises(PreconditionViolated):
+        section_centralizer(G, G.trivial_subgroup(), D)  # K not inside H
+    assert not any(k[0] == "sec_cent" for k in G._cache if isinstance(k, tuple))
+
+
+def test_no_assert_statements_in_the_package():
+    # postconditions must still be checked under `python -O`
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(formalab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -28,7 +28,7 @@ from formalab import (
     sylow,
     upper_central_series,
 )
-from formalab.errors import NotSoluble
+from formalab.errors import NotSoluble, SubgroupCountCapExceeded
 from formalab.lattice import (
     derived_series,
     derived_subgroup,
@@ -212,3 +212,20 @@ def test_derived_lattice_without_parent_lattice_is_enumerated():
     assert len(all_subgroups(Q)) == 2
     assert len(all_subgroups(H)) == 10
     assert "lattice" not in G._cache
+
+
+def test_subgroup_cap_on_both_paths(monkeypatch):
+    G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
+                     "generators": ["(1 2 3 4)", "(1 2)"]})
+    all_subgroups(G)  # 30 subgroups, under the default cap
+    H, _ = subgroup_as_group(G, derived_subgroup(G))  # A4: 10 subgroups
+    E = _link_free(H)
+    monkeypatch.setattr(lattice_mod, "SUBGROUP_CAP", 5)
+    with monkeypatch.context() as m:
+        m.setattr(lattice_mod, "closure_elements", _no_closure)
+        with pytest.raises(SubgroupCountCapExceeded):
+            all_subgroups(H)  # derived from G's lattice
+    with pytest.raises(SubgroupCountCapExceeded):
+        all_subgroups(E)  # enumerated
+    assert "lattice" not in H._cache
+    assert "lattice" not in E._cache
