@@ -117,9 +117,9 @@ def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
         if len(factors) < 2:
             raise PreconditionViolated("direct product needs two or more factors")
         G = factors[0]
-        for B in factors[1:]:
+        for B in factors[1:-1]:
             G = direct_product(G, B)
-        return Group(G.mul, name, gen_idx=G.gen_idx, provenance=G.provenance)
+        return direct_product(G, factors[-1], name=name)
     if kind == "semidirect":
         N = _resolve(spec["normal"], resolve)
         H = _resolve(spec["actor"], resolve)

@@ -135,13 +135,35 @@ class Group:
             raise ValueError("table entries out of range")
         if not (np.array_equal(mul[0], ar) and np.array_equal(mul[:, 0], ar)):
             raise ValueError("index 0 is not a two-sided identity")
-        if not (np.array_equal(np.sort(mul, axis=1), np.tile(ar, (n, 1)))
-                and np.array_equal(np.sort(mul, axis=0), np.tile(ar[:, None], (1, n)))):
+        if not ((np.sort(mul, axis=1) == ar).all()
+                and (np.sort(mul, axis=0) == ar[:, None]).all()):
             raise ValueError("table rows/columns are not permutations")
+        if self.origin is not None:
+            self._validate_against_origin()
+            return
         # full associativity check; the order cap keeps this affordable
         for x in range(n):
             if not np.array_equal(mul[mul[x]], mul[x][mul]):
                 raise ValueError(f"associativity fails at element {x}")
+
+    def _validate_against_origin(self) -> None:
+        """Check the table is a homomorphic image of its validated parent.
+
+        A surjective homomorphic image of a group, or a subset closed under
+        an injective homomorphism into one, is associative, so this stands
+        in for the associativity loop.
+        """
+        parent, sub, proj = self.origin
+        if proj is None:  # re-indexed subgroup: el[i] is element i's parent index
+            el = sub.elements
+            ok = (el.size == self.n
+                  and np.array_equal(el[self.mul], parent.mul[np.ix_(el, el)]))
+        else:  # quotient: proj maps parent elements onto this group
+            ok = (proj.shape == (parent.n,)
+                  and np.array_equal(np.unique(proj), np.arange(self.n))
+                  and np.array_equal(proj[parent.mul], self.mul[proj[:, None], proj]))
+        if not ok:
+            raise ValueError("table is not a homomorphic image of its origin")
 
     def _invert_table(self) -> np.ndarray:
         inv = np.argmin(self.mul, axis=1)  # position of 0 in each row
@@ -536,17 +558,7 @@ def quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
         raise ValueError("subgroup of a different parent")
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    nel = N.elements
-    proj = np.full(G.n, -1, dtype=np.intp)
-    reps = []
-    for x in range(G.n):
-        if proj[x] >= 0:
-            continue
-        coset = np.unique(G.mul[x, nel])
-        proj[coset] = len(reps)
-        reps.append(x)
-    reps_arr = np.array(reps, dtype=np.intp)
-    q = len(reps)
+    reps_arr, proj = np.unique(G.mul[:, N.elements].min(axis=1), return_inverse=True)
     mul = proj[G.mul[np.ix_(reps_arr, reps_arr)]]
     gens = []
     for g in G.gen_idx:

@@ -1,12 +1,15 @@
 """Exhaustive subgroup lattices and the classical distinguished subgroups.
 
-Lattice enumeration seeds with all cyclic subgroups and closes under
-pairwise join; everything is deduplicated by canonical bitmask.  A quotient
-or subgroup-as-group whose parent already has its lattice cached takes its
-lattice from the parent's instead (correspondence theorem), with the same
-members in the same order.  The element-level helpers (derived series,
-centre, O_p, ...) deliberately do not require a lattice so that formation
-membership tests stay cheap.
+Lattice enumeration is cyclic extension over zuppos (cyclic subgroups of
+prime-power order) up to conjugacy: one member of each conjugacy class of
+subgroups is joined with each zuppo it does not contain, and a new join
+brings in its whole class; everything is deduplicated by canonical bitmask.
+A quotient or subgroup-as-group whose parent already has its lattice cached
+takes its lattice, and a quotient also its normality flags, from the
+parent's instead (correspondence theorem), with the same members in the
+same order.  The element-level helpers (derived series, centre, O_p, ...)
+deliberately do not require a lattice so that formation membership tests
+stay cheap.
 """
 
 from __future__ import annotations
@@ -65,22 +68,20 @@ def pi_part(n: int, pi) -> int:
 
 
 class Lattice:
-    """All subgroups of a group, in increasing-order-then-bitmask order."""
+    """All subgroups of a group, in increasing-order-then-bitmask order,
+    with a parallel list of normality flags."""
 
-    def __init__(self, parent: Group, subgroups: list[SubgroupSet]):
+    def __init__(self, parent: Group, subgroups: list[SubgroupSet],
+                 normal_flags: list[bool]):
         self.parent = parent
         self.subgroups = subgroups
-        self.normal_flags = [is_normal(parent, s) for s in subgroups]
+        self.normal_flags = normal_flags
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
     def normal_members(self) -> list[SubgroupSet]:
         return [s for s, f in zip(self.subgroups, self.normal_flags) if f]
-
-    def members_above(self, sub: SubgroupSet) -> list[SubgroupSet]:
-        """All lattice members containing `sub` (inclusive)."""
-        return [s for s in self.subgroups if sub.bits & s.bits == sub.bits]
 
 
 @memo("lattice")
@@ -92,19 +93,24 @@ def all_subgroups(G: Group) -> Lattice:
     """
     found = _corresponding_bits(G)
     if found is None:
-        found = _enumerate_bits(G)
+        found = [(b, None) for b in _enumerate_bits(G)]
     elif len(found) > SUBGROUP_CAP:
         raise SubgroupCountCapExceeded(
             f"{G.name} has more than {SUBGROUP_CAP} subgroups")
-    subs = [SubgroupSet(G, b, check=False) for b in found]
-    subs.sort(key=lambda s: (s.order, s.bits))
-    return Lattice(G, subs)
+    found.sort(key=lambda bf: (bf[0].bit_count(), bf[0]))
+    subs = [SubgroupSet(G, b, check=False) for b, _ in found]
+    flags = [is_normal(G, s) if f is None else f for s, (_, f) in zip(subs, found)]
+    return Lattice(G, subs, flags)
 
 
-def _corresponding_bits(G: Group) -> list[int] | None:
+def _corresponding_bits(G: Group) -> list[tuple[int, bool | None]] | None:
     """Subgroup bitmasks of a derived group read off its parent's cached
     lattice, or None when G has no parent or the parent has no lattice yet
-    (a parent lattice is never built just to derive from it)."""
+    (a parent lattice is never built just to derive from it).
+
+    Each bitmask comes with its normal flag when the parent's lattice fixes
+    it (X/N is normal in G/N iff X is normal in G), else with None.
+    """
     if G.origin is None:
         return None
     parent, sub, proj = G.origin
@@ -113,38 +119,59 @@ def _corresponding_bits(G: Group) -> list[int] | None:
         return None
     if proj is None:  # G is `sub` re-indexed by its ascending element array
         el = sub.elements
-        return [bits_of(np.searchsorted(el, s.elements)) for s in lat.subgroups
-                if s.issubset(sub)]
-    return [bits_of(proj[s.elements]) for s in lat.members_above(sub)]
+        return [(bits_of(np.searchsorted(el, s.elements)), None)
+                for s in lat.subgroups if s.issubset(sub)]
+    return [(bits_of(proj[s.elements]), f)
+            for s, f in zip(lat.subgroups, lat.normal_flags) if sub.issubset(s)]
 
 
 def _enumerate_bits(G: Group) -> list[int]:
-    """Subgroup bitmasks of G by closing the cyclic subgroups under join."""
-    cyc: dict[int, np.ndarray] = {}
+    """Subgroup bitmasks of G by cyclic extension over zuppos, up to conjugacy.
+
+    A zuppo is a cyclic subgroup of prime-power order; every subgroup is
+    the join of its zuppos.  Only one member of each conjugacy class is
+    joined with the zuppos it does not contain, and a new join brings in its
+    whole class.  The found set is closed under conjugation and, since
+    H^g v <z> = (H v <z^(g^-1)>)^g with z^(g^-1) again a zuppo, under joins
+    with zuppos, so it holds every subgroup.
+    """
+    orders = element_orders(G)
+    zuppos: dict[int, np.ndarray] = {}
     for x in range(1, G.n):
-        c = closure_elements(G, [x])
-        cyc.setdefault(bits_of(c), c)
-    cyclic = list(cyc.items())
-    found: dict[int, np.ndarray] = {1: np.array([0], dtype=np.intp)}
-    found.update(cyc)
-    queue = list(cyclic)
+        if len(prime_factors(int(orders[x]))) == 1:
+            c = closure_elements(G, [x])
+            zuppos.setdefault(bits_of(c), c)
+    found = {1}
+    queue: list[tuple[int, np.ndarray]] = []
+
+    def add_class(hb: int, hel: np.ndarray) -> None:
+        found.update(_conjugate_bits(G, hel))
+        if len(found) > SUBGROUP_CAP:
+            raise SubgroupCountCapExceeded(
+                f"{G.name} has more than {SUBGROUP_CAP} subgroups")
+        queue.append((hb, hel))
+
+    for zb, zel in zuppos.items():
+        if zb not in found:
+            add_class(zb, zel)
     while queue:
         hb, hel = queue.pop()
-        for cb, cel in cyclic:
-            if cb & hb == cb:
+        for zb, zel in zuppos.items():
+            if zb & hb == zb:
                 continue
-            j = closure_elements(G, np.concatenate([hel, cel]))
+            j = closure_elements(G, np.concatenate([hel, zel]))
             jb = bits_of(j)
             if jb not in found:
-                if len(found) >= SUBGROUP_CAP:
-                    raise SubgroupCountCapExceeded(
-                        f"{G.name} has more than {SUBGROUP_CAP} subgroups")
-                found[jb] = j
-                queue.append((jb, j))
-    full = (1 << G.n) - 1
-    if full not in found:  # trivial group
-        found[full] = np.arange(G.n)
+                add_class(jb, j)
     return list(found)
+
+
+def _conjugate_bits(G: Group, kel: np.ndarray) -> list[int]:
+    """Bitmasks of the distinct conjugates of the subgroup with elements `kel`."""
+    rows = np.zeros((G.n, G.n), dtype=bool)
+    rows[np.arange(G.n)[:, None], G.mul[G.mul[:, kel], G.inv[:, None]]] = True
+    packed = np.unique(np.packbits(rows, axis=1, bitorder="little"), axis=0)
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def join(G: Group, *subs: SubgroupSet) -> SubgroupSet:

@@ -1,6 +1,9 @@
 """Subgroup lattice enumeration and the classical named subgroups."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formalab.lattice as lattice_mod
 from formalab import (
@@ -29,6 +32,15 @@ from formalab import (
     upper_central_series,
 )
 from formalab.errors import NotSoluble, SubgroupCountCapExceeded
+from formalab.groups import (
+    Origin,
+    SubgroupSet,
+    bits_of,
+    closure_elements,
+    element_orders,
+    elems_of,
+    group_from_permutations,
+)
 from formalab.lattice import (
     derived_series,
     derived_subgroup,
@@ -229,3 +241,76 @@ def test_subgroup_cap_on_both_paths(monkeypatch):
         all_subgroups(E)  # enumerated
     assert "lattice" not in H._cache
     assert "lattice" not in E._cache
+
+
+# -- enumeration against the cyclic-join reference ----------------------------
+
+def _cyclic_join_closure(G):
+    """Reference lattice: every cyclic subgroup, closed under pairwise join."""
+    cyclic = {bits_of(closure_elements(G, [x])) for x in range(G.n)}
+    found = set(cyclic)
+    queue = list(cyclic)
+    while queue:
+        h = queue.pop()
+        for c in cyclic:
+            if c & h == c:
+                continue
+            j = bits_of(closure_elements(G, elems_of(h | c)))
+            if j not in found:
+                found.add(j)
+                queue.append(j)
+    return sorted(found, key=lambda b: (b.bit_count(), b))
+
+
+def test_enumeration_matches_reference_catalogwide():
+    for G in catalog_groups():
+        if G.n <= 128:
+            assert [s.bits for s in all_subgroups(G).subgroups] == \
+                _cyclic_join_closure(G), G.name
+
+
+def test_ex12_has_340_subgroups(ex324):
+    assert len(all_subgroups(ex324)) == 340
+
+
+_two_perms = st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.permutations(range(1, d + 1)), st.permutations(range(1, d + 1))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_perms)
+def test_enumeration_matches_reference_on_random_groups(spec):
+    degree, a, b = spec
+    G = group_from_permutations(degree, [a, b])
+    assert [s.bits for s in all_subgroups(G).subgroups] == _cyclic_join_closure(G)
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "A5", "D12"])
+def test_conjugate_bits_is_a_conjugacy_class(name):
+    G = catalog_group(name)
+    for H in all_subgroups(G).subgroups:
+        cls = set(lattice_mod._conjugate_bits(G, H.elements))
+        assert H.bits in cls
+        assert G.n % len(cls) == 0
+        for b in cls:
+            el = elems_of(b)
+            for g in G.gen_idx:
+                assert bits_of(G.mul[G.mul[g, el], G.inv[g]]) in cls
+
+
+# -- derived tables are checked against their parent ---------------------------
+
+def test_forged_quotient_origin_is_rejected(s4):
+    Q = quotient_group(s4, minimal_normal_subgroups(s4)[0]).target
+    parent, N, proj = Q.origin
+    Group(Q.mul, "copy", origin=Origin(parent, N, proj))  # the genuine link passes
+    with pytest.raises(ValueError):
+        Group(Q.mul, "forged", origin=Origin(parent, N, np.roll(proj, 1)))
+
+
+def test_forged_subgroup_origin_is_rejected(s3):
+    involutions = np.flatnonzero(element_orders(s3) == 2)
+    not_closed = SubgroupSet(s3, bits_of([0, *involutions[:2]]), check=False)
+    c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    with pytest.raises(ValueError):
+        Group(c3, "forged", origin=Origin(s3, not_closed, None))
