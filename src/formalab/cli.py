@@ -16,9 +16,11 @@ from .errors import (
     ClosureCapExceeded,
     FormalabError,
     IsoCapExceeded,
+    PreconditionViolated,
     SubgroupCountCapExceeded,
 )
 from .formations import parse_formation
+from .lattice import prime_factors
 from .suites import (
     CERTIFIED_BOUNDARY,
     SuiteReport,
@@ -48,10 +50,22 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _prime(value) -> int:
+    """`value` as a prime; anything else (0, 1, negatives, composites,
+    non-integers, empty items) raises PreconditionViolated."""
+    try:
+        p = int(value)
+    except ValueError:
+        p = 0
+    if prime_factors(p) != (p,):
+        raise PreconditionViolated(f"{value!r} is not a prime")
+    return p
+
+
 def _parse_pi(text: str | None):
     if text is None or text == "all":
         return None
-    return frozenset(int(v) for v in text.split(","))
+    return frozenset(_prime(v) for v in text.split(","))
 
 
 def _load_group(ref: str):
@@ -86,12 +100,13 @@ def _theorem_a_reports(args) -> list[SuiteReport]:
 def _cmd_verify(args) -> int:
     reports: list[SuiteReport] = []
     name = args.suite
+    pi = _parse_pi(args.pi)
     if name in ("baer", "all"):
         reports.append(suite_baer(args.max_order, args.soluble_only))
     if name in ("theorem_a", "all"):
         if name == "theorem_a" and args.formation:
             reports.append(suite_theorem_a(
-                parse_formation(args.formation), _parse_pi(args.pi),
+                parse_formation(args.formation), pi,
                 args.max_order, args.soluble_only))
         else:
             reports.extend(_theorem_a_reports(args))
@@ -120,8 +135,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hunt(args) -> int:
     F = parse_formation(args.formation)
+    p = _prime(args.p)
     groups = suite_groups(args.max_order, args.soluble_only)
-    witnesses = boundary_scan(F, {args.p}, groups)
+    witnesses = boundary_scan(F, {p}, groups)
     _emit([{"group": w.group, "formation": str(w.formation), "p": w.p,
             "in_f": w.in_f} for w in witnesses])
     return EXIT_OK
@@ -155,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hunt = sub.add_parser("hunt-critical", help="scan for critical groups")
     p_hunt.add_argument("--formation", required=True)
-    p_hunt.add_argument("--p", type=int, required=True)
+    p_hunt.add_argument("--p", type=int, required=True, help="a prime")
     p_hunt.add_argument("--max-order", type=int, default=None)
     p_hunt.add_argument("--soluble-only", action="store_true")
     p_hunt.set_defaults(fn=_cmd_hunt)

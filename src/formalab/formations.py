@@ -4,6 +4,11 @@ Satellite values are membership predicates, not symbolic class algebra:
 each F(p) entry is a concrete test such as "G/O_p(G) is abelian of
 exponent dividing p-1".  The chief-central module cross-checks every
 table entry against the semidirect-product definition of centrality.
+
+Every menu formation is subgroup-closed (hereditary: H <= G in F implies H
+in F; Doerk & Hawkes, *Finite Soluble Groups*, IV.1).  The F-maximal search
+in `intersections` relies on it, and the tests check it on the catalog; a
+new tag must keep it or change that search.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ _TAGS = ("Triv", "All", "Sol", "Nil", "Sup", "pSup", "pNilp", "pDec",
 
 @dataclass(frozen=True)
 class FormationSpec:
-    """Tagged descriptor of one built-in formation."""
+    """Tagged descriptor of one built-in, subgroup-closed formation."""
 
     tag: str
     p: int | None = None
@@ -52,7 +57,8 @@ class FormationSpec:
         if self.tag in ("pSup", "pNilp", "pDec") and (
                 self.p is None or prime_factors(self.p) != (self.p,)):
             raise PreconditionViolated(f"{self.tag} needs a prime parameter")
-        if self.tag in ("PiClosed", "GPi", "SPi") and not self.pi:
+        if self.tag in ("PiClosed", "GPi", "SPi") and (
+                not self.pi or any(prime_factors(q) != (q,) for q in self.pi)):
             raise PreconditionViolated(f"{self.tag} needs a nonempty prime set")
         if self.tag == "NilPow" and (self.r is None or self.r < 0):
             raise PreconditionViolated("NilPow needs a length r >= 0")

@@ -11,7 +11,6 @@ from .lattice import (
     all_subgroups,
     core,
     intersection,
-    maximal_members,
     subgroup_as_group,
     translate_into,
 )
@@ -35,9 +34,20 @@ def _in_formation(G: Group, H: SubgroupSet, F: FormationSpec) -> bool:
 
 @memo("f_maximal")
 def f_maximal_subgroups(G: Group, F: FormationSpec) -> list[SubgroupSet]:
-    """Inclusion-maximal members of {H <= G : H in F}."""
-    return maximal_members([s for s in all_subgroups(G).subgroups
-                            if _in_formation(G, s, F)])
+    """Inclusion-maximal members of {H <= G : H in F}, in lattice order.
+
+    Menu formations are subgroup-closed, so the F-subgroups form a down-set
+    of the lattice.  Scanning it from the largest subgroup down, one inside
+    an F-maximal subgroup already found is in F but not maximal and is
+    skipped.  Any other subgroup in F is F-maximal: a larger F-subgroup
+    would have been scanned first and lie in a found one, which would then
+    contain this subgroup too.
+    """
+    found: list[SubgroupSet] = []
+    for s in reversed(all_subgroups(G).subgroups):
+        if not any(s.issubset(t) for t in found) and _in_formation(G, s, F):
+            found.append(s)
+    return found[::-1]
 
 
 def int_f(G: Group, F: FormationSpec) -> SubgroupSet:

@@ -1,6 +1,8 @@
 """Chief series, centrality of chief factors, and hypercentre computations."""
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from formalab import (
     NA,
@@ -14,13 +16,17 @@ from formalab import (
     is_f_central_satellite,
     is_f_central_semidirect,
     minimal_normal_subgroups,
+    nil_pow,
+    p_dec,
     p_nilp,
+    p_sup,
     z_f,
     z_pi_f,
     z_pi_f_oracle,
 )
 from formalab.chiefs import ChiefFactor
-from formalab.errors import NotNormal, PreconditionViolated
+from formalab.errors import ClosureCapExceeded, NotNormal, PreconditionViolated
+from formalab.groups import group_from_permutations
 from formalab.lattice import hypercentre
 
 
@@ -123,3 +129,43 @@ def test_oracle_agreement_spot():
 def test_z_on_member_is_whole_group(q8, s3):
     assert z_f(q8, NIL).order == 8
     assert z_f(s3, NA).order == 6
+
+
+# -- dual-oracle identities on random permutation groups -----------------------
+
+SATELLITE_FORMATIONS = (NIL, SUP, NA, p_sup(3), p_nilp(2), p_nilp(3),
+                        p_dec(2), p_dec(3), nil_pow(2))
+
+_two_perms = st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.permutations(range(1, d + 1)), st.permutations(range(1, d + 1))))
+
+
+def _small_group(spec):
+    """The group generated by a drawn pair; A6 and S6 are rejected."""
+    degree, a, b = spec
+    try:
+        return group_from_permutations(degree, [a, b], cap=120)
+    except ClosureCapExceeded:
+        reject()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_z_pi_f_matches_oracle_on_random_groups(spec):
+    G = _small_group(spec)
+    for F in SATELLITE_FORMATIONS:
+        for pi in (None, {2}, {3}):
+            assert z_pi_f(G, F, pi).bits == z_pi_f_oracle(G, F, pi).bits, (F, pi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_centrality_routes_agree_on_random_groups(spec):
+    G = _small_group(spec)
+    for fac in chief_series(G).factors:
+        for F in SATELLITE_FORMATIONS:
+            try:
+                semidirect = is_f_central_semidirect(G, fac, F)
+            except ClosureCapExceeded:
+                continue  # (H/K) x| G/C too large to build, as for A5
+            assert is_f_central_satellite(G, fac, F) == semidirect, (F, fac.order)

@@ -152,3 +152,16 @@ def test_analyze_over_subgroup_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(lattice_mod, "SUBGROUP_CAP", 5)
     assert main(["analyze", str(path)]) == EXIT_CAP
     assert "subgroups" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem_a", "--formation", "nil", "--pi", "1"],
+    ["analyze", "S4", "--pi", "4"],
+    ["analyze", "S4", "--pi", "0"],
+    ["analyze", "S4", "--pi", "2,"],
+    ["hunt-critical", "--formation", "nil", "--p", "4"],
+], ids=["verify-pi-1", "analyze-pi-4", "analyze-pi-0", "analyze-pi-empty-item",
+        "hunt-p-4"])
+def test_non_prime_pi_or_p_is_a_usage_error(capsys, argv):
+    assert main(argv) == EXIT_LOAD
+    assert "not a prime" in capsys.readouterr().err

@@ -59,6 +59,12 @@ def test_spec_validation():
         FormationSpec("NilPow", r=-1)
 
 
+@pytest.mark.parametrize("name", ["piclosed:4", "gpi:1", "spi:0,3", "gpi:2,-3"])
+def test_pi_formations_need_primes(name):
+    with pytest.raises(PreconditionViolated):
+        parse_formation(name)
+
+
 def test_membership_table(s3, s4, a4, q8, sl23):
     A5 = catalog_group("A5")
     assert is_member(NIL, q8) and not is_member(NIL, s3)

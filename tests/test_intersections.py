@@ -1,11 +1,16 @@
 """F-maximal subgroups, their intersection, and K-F-subnormality."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from formalab import (
     NA,
     NIL,
     SUP,
     SYLTOWER,
     catalog_group,
+    catalog_groups,
     f_max_report,
     f_maximal_subgroups,
     int_f,
@@ -13,9 +18,18 @@ from formalab import (
     is_k_f_subnormal,
     is_member,
     p_sup,
+    parse_formation,
 )
-from formalab.groups import is_normal
-from formalab.lattice import all_subgroups, subgroup_as_group
+from formalab.groups import group_from_permutations, is_normal
+from formalab.intersections import _in_formation
+from formalab.lattice import all_subgroups, maximal_members, subgroup_as_group
+
+# the CLI formation vocabulary, every entry subgroup-closed
+VOCABULARY = tuple(parse_formation(name) for name in (
+    "triv", "all", "sol", "nil", "sup", "na", "syltower", "psup:2", "psup:3",
+    "pnilp:2", "pnilp:3", "pdec:2", "pdec:3", "piclosed:2", "piclosed:3",
+    "piclosed:2,3", "gpi:2", "gpi:2,3", "spi:2,3", "spi:3", "aexp:2",
+    "aexp:6", "nilpow:1", "nilpow:2"))
 
 
 def test_f_maximal_nil_of_s3(s3):
@@ -98,3 +112,44 @@ def test_report_consistency(s4):
 
 def test_int_syltower(s4):
     assert int_f(s4, SYLTOWER).order == 1
+
+
+# -- the downward scan against the exhaustive scan ----------------------------
+
+def _exhaustive_f_maximal(G, F):
+    """Reference: the maximal members of every lattice member in F."""
+    return maximal_members([s for s in all_subgroups(G).subgroups
+                            if _in_formation(G, s, F)])
+
+
+@pytest.mark.parametrize("F", VOCABULARY, ids=str)
+def test_f_maximal_matches_exhaustive_scan_catalogwide(F):
+    for G in catalog_groups():
+        assert [s.bits for s in f_maximal_subgroups(G, F)] == \
+            [s.bits for s in _exhaustive_f_maximal(G, F)], G.name
+
+
+_two_perms = st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.permutations(range(1, d + 1)), st.permutations(range(1, d + 1))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_perms)
+def test_f_maximal_matches_exhaustive_scan_on_random_groups(spec):
+    degree, a, b = spec
+    G = group_from_permutations(degree, [a, b])
+    for F in VOCABULARY:
+        assert [s.bits for s in f_maximal_subgroups(G, F)] == \
+            [s.bits for s in _exhaustive_f_maximal(G, F)], F
+
+
+@pytest.mark.parametrize("F", VOCABULARY, ids=str)
+def test_menu_formations_are_subgroup_closed(F):
+    # the downward scan skips every subgroup of an F-maximal subgroup
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        for M in f_maximal_subgroups(G, F):
+            for s in all_subgroups(G).subgroups:
+                if s.issubset(M):
+                    assert _in_formation(G, s, F), (G.name, M.order, s.order)
