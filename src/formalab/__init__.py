@@ -25,6 +25,7 @@ from .chiefs import (
     is_f_central,
     is_f_central_satellite,
     is_f_central_semidirect,
+    section_extension,
     z_f,
     z_pi_f,
     z_pi_f_oracle,

@@ -2,8 +2,10 @@
 
 Centrality is computed by two independent routes: the canonical-satellite
 test on G/C_G(H/K), and direct construction of (H/K) x| (G/C_G(H/K))
-followed by a formation membership test.  Their agreement on the whole
-catalog is one of the acceptance gates.
+followed by a formation membership test.  The extension depends only on
+the chief factor, so it is built once per factor and shared by every
+formation; one over the order cap is refused before it is built.  The
+two routes' agreement on the whole catalog is one of the acceptance gates.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormal, PreconditionViolated
+from .errors import ClosureCapExceeded, NotNormal, PreconditionViolated
 from .formations import FormationSpec, is_member, satellite_member
 from .groups import (
+    ORDER_CAP,
     Group,
     SubgroupSet,
     bits_of,
@@ -132,29 +135,40 @@ def is_f_central_satellite(G: Group, fac: ChiefFactor,
 
 def is_f_central_semidirect(G: Group, fac: ChiefFactor,
                             F: FormationSpec) -> bool:
-    """Definition route: build (H/K) x| (G/C_G(H/K)) and test membership.
+    """Definition route: (H/K) x| (G/C_G(H/K)) in F.
 
-    Raises ClosureCapExceeded when the product is too large; callers may
-    fall back to the satellite route.
+    The extension depends on the chief factor alone, so it is built once
+    per factor by `section_extension` and shared by every formation asked
+    about it.  Raises ClosureCapExceeded when the product is too large;
+    callers may fall back to the satellite route.
     """
-    C = section_centralizer(G, fac.H, fac.K)
+    return is_member(F, section_extension(G, fac.H, fac.K))
+
+
+@memo("sec_ext")
+def section_extension(G: Group, H: SubgroupSet, K: SubgroupSet) -> Group:
+    """(H/K) x| (G/C_G(H/K)), with G/C acting on H/K by conjugation.
+
+    Refused with ClosureCapExceeded, before the quotients and the action
+    are built, when |H/K| * |G:C_G(H/K)| exceeds ORDER_CAP.
+    """
+    C = section_centralizer(G, H, K)
+    order = H.order // K.order * (G.n // C.order)
+    if order > ORDER_CAP:
+        raise ClosureCapExceeded(
+            f"section extension order {order} exceeds cap {ORDER_CAP}")
     qa = _quotient_by(G, C)
     A = qa.target
-    hgrp, hel = subgroup_as_group(G, fac.H)
-    qv = quotient_group(hgrp, translate_into(G, fac.H, fac.K))
+    hgrp, hel = subgroup_as_group(G, H)
+    qv = quotient_group(hgrp, translate_into(G, H, K))
     V = qv.target
-    # conjugation action of A on V via coset representatives
-    vreps = np.array([hel[int(np.flatnonzero(qv.proj == i)[0])]
-                      for i in range(V.n)], dtype=np.intp)
-    areps = np.array([int(np.flatnonzero(qa.proj == i)[0])
-                      for i in range(A.n)], dtype=np.intp)
-    hpos = {int(e): i for i, e in enumerate(hel)}
-    action = np.empty((A.n, V.n), dtype=np.intp)
-    for ai, g in enumerate(areps):
-        conj = G.mul[G.mul[g, vreps], G.inv[g]]
-        action[ai] = qv.proj[[hpos[int(c)] for c in conj]]
-    prod = semidirect_product(V, A, action, name="section-extension")
-    return is_member(F, prod)
+    # conjugation action of A on V via least coset representatives; hel is
+    # ascending, so searchsorted finds each conjugate's index in H
+    vreps = hel[np.unique(qv.proj, return_index=True)[1]]
+    areps = np.unique(qa.proj, return_index=True)[1]
+    conj = G.mul[G.mul[areps[:, None], vreps], G.inv[areps][:, None]]
+    action = qv.proj[np.searchsorted(hel, conj)]
+    return semidirect_product(V, A, action, name="section-extension")
 
 
 def is_f_central(G: Group, fac: ChiefFactor, F: FormationSpec) -> bool:
@@ -201,8 +215,11 @@ def z_pi_f(G: Group, F: FormationSpec, pi=None, absorb: str = "all") -> Subgroup
                     break
         if not passing:
             break
-        elems = np.concatenate([Z.elements] + [N.elements for N in passing])
-        Z = SubgroupSet(G, bits_of(closure_elements(G, elems)), check=False)
+        # every N contains Z, and the join of normal subgroups is their product
+        Z = passing[0]
+        for N in passing[1:]:
+            Z = SubgroupSet(G, bits_of(G.mul[Z.elements[:, None], N.elements]),
+                            check=False)
     return Z
 
 

@@ -101,6 +101,9 @@ def _cmd_verify(args) -> int:
     reports: list[SuiteReport] = []
     name = args.suite
     pi = _parse_pi(args.pi)
+    if pi is not None and not (name == "theorem_a" and args.formation):
+        raise PreconditionViolated(
+            "--pi applies only to `verify theorem_a --formation ...`")
     if name in ("baer", "all"):
         reports.append(suite_baer(args.max_order, args.soluble_only))
     if name in ("theorem_a", "all"):

@@ -3,7 +3,9 @@
 Satellite values are membership predicates, not symbolic class algebra:
 each F(p) entry is a concrete test such as "G/O_p(G) is abelian of
 exponent dividing p-1".  The chief-central module cross-checks every
-table entry against the semidirect-product definition of centrality.
+table entry against the semidirect-product definition of centrality; it
+builds each chief factor's extension (H/K) x| (G/C_G(H/K)) once, shares it
+across formations, and refuses one over the order cap before building it.
 
 Every menu formation is subgroup-closed (hereditary: H <= G in F implies H
 in F; Doerk & Hawkes, *Finite Soluble Groups*, IV.1).  The F-maximal search

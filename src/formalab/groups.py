@@ -29,6 +29,8 @@ from .errors import (
 
 ORDER_CAP = 512
 ISO_CAP = 128
+# largest index array a vectorised check builds at once (8 bytes an entry)
+_BLOCK_ENTRIES = 1 << 21
 
 
 def _index_array(elems: Iterable[int]) -> np.ndarray:
@@ -395,24 +397,32 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     ident = tuple(range(1, degree + 1))
     index = {ident: 0}
     elems = [ident]
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
+    # right[k][i]: index of elems[i] * gens[k]; element j > 0 was first
+    # reached as elems[parent[j]] * gens[via[j]]
+    right = [[] for _ in gens]
+    parent, via = [0], [0]
+    for i, cur in enumerate(elems):  # elems grows while it is scanned: BFS
+        for k, g in enumerate(gens):
             # right-multiply: (cur * g)(i) = cur[g(i)]
-            nxt = tuple(cur[g[i] - 1] for i in range(degree))
+            nxt = tuple(cur[g[t] - 1] for t in range(degree))
             if nxt not in index:
                 if len(elems) >= cap:
                     raise ClosureCapExceeded(
                         f"closure exceeds cap {cap} (degree {degree})")
                 index[nxt] = len(elems)
                 elems.append(nxt)
-                queue.append(nxt)
+                parent.append(i)
+                via.append(k)
+            right[k].append(index[nxt])
     n = len(elems)
-    mul = np.empty((n, n), dtype=np.intp)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i, j] = index[tuple(a[b[k] - 1] for k in range(degree))]
+    right = np.asarray(right, dtype=np.intp).reshape(len(gens), n)
+    # column j of the table is x -> x * elems[j], which is column parent[j]
+    # followed by right multiplication by gens[via[j]]
+    cols = np.empty((n, n), dtype=np.intp)
+    cols[0] = np.arange(n)
+    for j in range(1, n):
+        cols[j] = right[via[j], cols[parent[j]]]
+    mul = cols.T
     gen_idx = [index[g] for g in gens]
     return Group(mul, name, gen_idx=gen_idx, provenance=f"permutations deg {degree}")
 
@@ -441,30 +451,36 @@ def semidirect_product(N: Group, H: Group, action, name: str | None = None,
         raise NotActionHomomorphism(
             f"action table must be {H.n} x {N.n}, got {action.shape}")
     ar = np.arange(N.n)
-    for h in range(H.n):
-        a = action[h]
-        if not np.array_equal(np.sort(a), ar) or a[0] != 0:
-            raise NotAutomorphism(f"action of element {h} is not a bijection fixing e")
-        if not np.array_equal(a[N.mul], N.mul[np.ix_(a, a)]):
+    bijective = (np.sort(action, axis=1) == ar).all(axis=1) & (action[:, 0] == 0)
+    # rows are checked in blocks of bounded size and the first failing row
+    # is reported, by the first test it fails, as a row-by-row loop would
+    stop = int(np.argmin(bijective)) if not bijective.all() else H.n
+    step = max(1, _BLOCK_ENTRIES // (N.n * N.n))
+    for lo in range(0, stop, step):
+        a = action[lo:min(lo + step, stop)]
+        # a(x y) == a(x) a(y) for all x, y
+        auto = (a[:, N.mul] == N.mul[a[:, :, None], a[:, None, :]]).all(axis=(1, 2))
+        if not auto.all():
+            h = lo + int(np.argmin(auto))
             raise NotAutomorphism(f"action of element {h} is not an automorphism")
+    if stop < H.n:
+        raise NotAutomorphism(f"action of element {stop} is not a bijection fixing e")
     if not np.array_equal(action[0], ar):
         raise NotActionHomomorphism("identity must act trivially")
-    for h1 in range(H.n):
+    step = max(1, _BLOCK_ENTRIES // (H.n * N.n))
+    for lo in range(0, H.n, step):
+        hi = min(lo + step, H.n)
         # action(h1 h2) must equal action(h1) ∘ action(h2)
-        if not np.array_equal(action[H.mul[h1]], action[h1][action]):
+        mult = (action[H.mul[lo:hi]] == action[lo:hi][:, action]).all(axis=(1, 2))
+        if not mult.all():
+            h1 = lo + int(np.argmin(mult))
             raise NotActionHomomorphism(f"action is not multiplicative at {h1}")
     n = N.n * H.n
     if n > cap:
         raise ClosureCapExceeded(f"semidirect product order {n} exceeds cap {cap}")
-    mul = np.empty((n, n), dtype=np.intp)
-    for h1 in range(H.n):
-        # block of rows with second coordinate h1
-        acted = action[h1]  # h1 ▷ n2
-        prod_n = N.mul[:, acted]          # [n1, n2] -> n1 · (h1▷n2)
-        prod_h = H.mul[h1]                # [h2] -> h1 h2
-        block = prod_n[:, :, None] * H.n + prod_h[None, None, :]
-        rows = np.arange(N.n) * H.n + h1
-        mul[rows] = block.reshape(N.n, n)
+    # entry [(n1, h1), (n2, h2)] is (n1 · h1▷n2, h1 h2)
+    mul = (N.mul[:, action][:, :, :, None] * H.n
+           + H.mul[None, :, None, :]).reshape(n, n)
     gens = [nx * H.n for nx in N.gen_idx] + list(H.gen_idx)
     return Group(mul, name or f"{N.name} : {H.name}", gen_idx=gens,
                  provenance=f"semidirect product of {N.name} by {H.name}")

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import formalab.chiefs as chiefs_mod
 from formalab import (
     NA,
     NIL,
     SUP,
     SYLTOWER,
+    build_group,
+    catalog,
     catalog_group,
     chief_series,
     chief_series_through,
@@ -20,6 +23,7 @@ from formalab import (
     p_dec,
     p_nilp,
     p_sup,
+    section_extension,
     z_f,
     z_pi_f,
     z_pi_f_oracle,
@@ -169,3 +173,49 @@ def test_centrality_routes_agree_on_random_groups(spec):
             except ClosureCapExceeded:
                 continue  # (H/K) x| G/C too large to build, as for A5
             assert is_f_central_satellite(G, fac, F) == semidirect, (F, fac.order)
+
+
+# -- one section extension per chief factor ------------------------------------
+
+def _fresh(name):
+    # built anew from its catalog spec, so no other test has warmed its cache
+    return build_group(next(e.spec for e in catalog() if e.name == name))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls chiefs makes to its imported `name`."""
+    calls = []
+    real = getattr(chiefs_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chiefs_mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "S3xS3"])
+def test_one_section_extension_per_factor_across_formations(monkeypatch, name):
+    G = _fresh(name)
+    calls = _counting(monkeypatch, "semidirect_product")
+    for fac in chief_series(G).factors:
+        before = len(calls)
+        verdicts = [is_f_central_semidirect(G, fac, F) for F in SATELLITE_FORMATIONS]
+        assert len(calls) == before + 1, fac.order
+        assert section_extension(G, fac.H, fac.K) is section_extension(G, fac.H, fac.K)
+        assert verdicts == [is_f_central_satellite(G, fac, F)
+                            for F in SATELLITE_FORMATIONS]
+
+
+@pytest.mark.parametrize("name", ["A5", "C2xA5"])
+def test_over_cap_factor_is_refused_before_it_is_built(monkeypatch, name):
+    G = _fresh(name)
+    fac = next(f for f in chief_series(G).factors if f.order == 60)
+    built = _counting(monkeypatch, "semidirect_product")
+    quotients = _counting(monkeypatch, "quotient_group")
+    for F in SATELLITE_FORMATIONS:
+        with pytest.raises(ClosureCapExceeded, match="section extension order 3600"):
+            is_f_central_semidirect(G, fac, F)
+    assert built == [] and quotients == []
+    assert not any(isinstance(k, tuple) and k[0] == "sec_ext" for k in G._cache)

@@ -165,3 +165,22 @@ def test_analyze_over_subgroup_cap(capsys, tmp_path, monkeypatch):
 def test_non_prime_pi_or_p_is_a_usage_error(capsys, argv):
     assert main(argv) == EXIT_LOAD
     assert "not a prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "baer", "--pi", "3", "--max-order", "12"],
+    ["verify", "theorem_a", "--pi", "3", "--max-order", "12"],
+    ["verify", "theorem_d", "--pi", "2", "--max-order", "12"],
+    ["verify", "all", "--pi", "3", "--max-order", "12"],
+], ids=["baer", "theorem_a-without-formation", "theorem_d", "all"])
+def test_verify_rejects_pi_where_no_suite_reads_it(capsys, argv):
+    assert main(argv) == EXIT_LOAD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pi applies only to" in captured.err
+
+
+def test_verify_accepts_pi_all_everywhere(capsys):
+    code, data = run(capsys, "verify", "baer", "--pi", "all", "--max-order", "12")
+    assert code == EXIT_OK
+    assert data[0]["pass"] is True

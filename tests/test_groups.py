@@ -16,6 +16,7 @@ from formalab import (
     FormationSpec,
     Group,
     InvalidPermutation,
+    NotAutomorphism,
     NotNormal,
     PreconditionViolated,
     RelationMismatch,
@@ -25,6 +26,7 @@ from formalab import (
     build_group,
     catalog_group,
     centre,
+    chief_series,
     derived_subgroup,
     direct_product,
     elementary_abelian_vector_group,
@@ -39,12 +41,15 @@ from formalab import (
     residual,
     satellite_member,
     section_centralizer,
+    section_extension,
     semidirect_product,
     trivial_action,
     upper_central_series,
     z_pi_f,
 )
+from formalab.errors import NotActionHomomorphism
 from formalab.groups import (
+    _vector_index_perm,
     bits_of,
     closure_elements,
     conjugacy_classes,
@@ -113,6 +118,75 @@ def test_semidirect_rejects_non_automorphism():
     bad = np.array([[0, 2, 1, 3], [0, 1, 2, 3]])  # swaps order-4 with order-2
     with pytest.raises(Exception):
         semidirect_product(c4, c2, bad)
+
+
+def _semidirect_rows_loop(N, H, action):
+    """The row-block fill of N x| H, one block per element of H."""
+    n = N.n * H.n
+    mul = np.empty((n, n), dtype=np.intp)
+    for h1 in range(H.n):
+        block = N.mul[:, action[h1]][:, :, None] * H.n + H.mul[h1][None, None, :]
+        mul[np.arange(N.n) * H.n + h1] = block.reshape(N.n, n)
+    return mul
+
+
+def test_semidirect_table_matches_row_loop(s3, q8):
+    c4, c2 = catalog_group("C4"), catalog_group("C2")
+    e9 = elementary_abelian_vector_group(3, 2)
+    rot = np.array([[0, 2], [1, 0]])  # order 4 on F_3^2
+    rot_action = np.stack([
+        _vector_index_perm(3, 2, np.linalg.matrix_power(rot, _power_index(c4, h)))
+        for h in range(4)])
+    cases = [(c4, c2, np.stack([np.arange(4), c4.inv])),
+             (e9, c2, np.stack([np.arange(9), e9.inv])),
+             (e9, c4, rot_action),
+             (q8, s3, trivial_action(q8, s3))]
+    for N, H, action in cases:
+        G = semidirect_product(N, H, action)
+        assert np.array_equal(G.mul, _semidirect_rows_loop(N, H, action))
+
+
+def _power_index(G, h):
+    """k with h = g^k for the generator g of a cyclic group G."""
+    g, x, k = G.gen_idx[0], 0, 0
+    while x != h:
+        x, k = G.op(x, g), k + 1
+    return k
+
+
+def test_semidirect_rejects_action_that_is_not_multiplicative():
+    c3 = catalog_group("C3")
+    # every row is an automorphism, but inversion twice is not inversion
+    action = np.stack([np.arange(3), c3.inv, c3.inv])
+    with pytest.raises(NotActionHomomorphism, match="not multiplicative at 1"):
+        semidirect_product(c3, c3, action)
+
+
+def test_semidirect_reports_the_first_bad_row_by_its_first_failed_check():
+    c4, c2x2 = catalog_group("C4"), catalog_group("E4")
+    ident, swap = np.arange(4), np.array([0, 2, 1, 3])  # swap breaks C4's orders
+    action = np.stack([ident, swap, [0, 0, 1, 2], ident])
+    with pytest.raises(NotAutomorphism, match="element 1 is not an automorphism"):
+        semidirect_product(c4, c2x2, action)
+    action = np.stack([ident, [0, 0, 1, 2], swap, ident])
+    with pytest.raises(NotAutomorphism, match="element 1 is not a bijection"):
+        semidirect_product(c4, c2x2, action)
+
+
+def test_semidirect_validates_before_the_cap():
+    e32 = elementary_abelian_vector_group(2, 5)  # 32 * 32 = 1024 > ORDER_CAP
+    ident = np.tile(np.arange(32), (32, 1))
+    not_bijective = ident.copy()
+    not_bijective[3, 5] = 6
+    with pytest.raises(NotAutomorphism, match="element 3 is not a bijection"):
+        semidirect_product(e32, e32, not_bijective)
+    not_multiplicative = ident.copy()
+    # the coordinate swap is an automorphism, but element 1 has order 2
+    not_multiplicative[1] = _vector_index_perm(2, 5, np.eye(5, dtype=int)[[1, 0, 2, 3, 4]])
+    with pytest.raises(NotActionHomomorphism, match="not multiplicative at 1"):
+        semidirect_product(e32, e32, not_multiplicative)
+    with pytest.raises(ClosureCapExceeded, match="semidirect product order 1024"):
+        semidirect_product(e32, e32, ident)
 
 
 def test_matrix_module_relation_check(a4):
@@ -223,6 +297,45 @@ def test_closure_matches_naive_reference(seed):
     assert closure_elements(s4, sorted(seed)).tolist() == sorted(ref)
 
 
+def _perm_group_table_loop(degree, generators, cap):
+    """The BFS numbering and pairwise composition loop, as a reference."""
+    gens = [tuple(g) for g in generators]
+    ident = tuple(range(1, degree + 1))
+    index, elems, queue = {ident: 0}, [ident], [ident]
+    while queue:
+        cur = queue.pop(0)
+        for g in gens:
+            nxt = tuple(cur[g[i] - 1] for i in range(degree))
+            if nxt not in index:
+                if len(elems) >= cap:
+                    raise ClosureCapExceeded("over cap")
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                queue.append(nxt)
+    n = len(elems)
+    mul = np.empty((n, n), dtype=np.intp)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            mul[i, j] = index[tuple(a[b[k] - 1] for k in range(degree))]
+    return mul, [index[g] for g in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(1, d + 1)), max_size=3))))
+def test_permutation_table_matches_pairwise_loop(spec):
+    degree, generators = spec
+    try:
+        ref, ref_gens = _perm_group_table_loop(degree, generators, cap=120)
+    except ClosureCapExceeded:
+        with pytest.raises(ClosureCapExceeded):
+            group_from_permutations(degree, generators, cap=120)
+        return
+    G = group_from_permutations(degree, generators, cap=120)
+    assert np.array_equal(G.mul, ref)
+    assert list(G.gen_idx) == ref_gens
+
+
 # -- memoisation ---------------------------------------------------------------
 
 MEMO_FAMILIES = {
@@ -231,7 +344,7 @@ MEMO_FAMILIES = {
     "o_pi", "fitting", "as_group",
     "min_norm_over", "quot", "central",
     "member", "residual", "sat",
-    "f_maximal", "kstep", "kquot",
+    "f_maximal", "kstep", "kquot", "sec_ext",
 }
 
 
@@ -272,6 +385,8 @@ def test_memo_keys_hold_no_subgroups():
         residual(G, F)
         is_member(F, G)
         satellite_member(F, 2, G)
+    for fac in chief_series(G).factors:
+        section_extension(G, fac.H, fac.K)
     families = set()
     for key in G._cache:
         parts = key if isinstance(key, tuple) else (key,)
