@@ -1,5 +1,12 @@
 """Chief series, F-centrality of chief factors, and the hypercentre Z_piF.
 
+Normal structure needs no subgroup lattice.  The normal closure of each
+conjugacy class is computed once per group (`class_normal_closures`); a
+quotient G/N whose parent already has them reads its own off the parent's
+through `G.origin`, since the classes of G/N are the images of the classes
+of G.  The minimal normal subgroups over a normal Z are the minimal ones
+among the products Z<x^G>.
+
 Centrality is computed by two independent routes: the canonical-satellite
 test on G/C_G(H/K), and direct construction of (H/K) x| (G/C_G(H/K))
 followed by a formation membership test.  The extension depends only on
@@ -70,20 +77,57 @@ class ChiefSeries:
                      for k, h in zip(self.terms, self.terms[1:]))
 
 
+@memo("class_ncl")
+def class_normal_closures(G: Group) -> list[SubgroupSet]:
+    """Normal closure <x^G> of each conjugacy class, in `conjugacy_classes`
+    order; classes with the same closure share one SubgroupSet.
+
+    A quotient G = P/N whose parent P has its closures cached reads them off
+    P's: the classes of P/N are the images of the classes of P, and
+    <proj(x)^(P/N)> = proj(<x^P>).  The parent's closures are never computed
+    just to derive from them; any other group closes each class itself.
+    """
+    found = _pulled_back_closures(G)
+    if found is None:
+        found = [bits_of(closure_elements(G, cls)) for cls in conjugacy_classes(G)]
+    shared = {b: SubgroupSet(G, b, check=False) for b in found}
+    return [shared[b] for b in found]
+
+
+def _pulled_back_closures(G: Group) -> list[int] | None:
+    """Class-closure bitmasks of a quotient read off its parent's cached
+    closures, in order of each class's least element, or None when G is
+    not a quotient or its parent has no closures cached."""
+    if G.origin is None or G.origin.proj is None:
+        return None
+    parent, _, proj = G.origin
+    ncls = parent._cache.get("class_ncl")
+    if ncls is None:
+        return None
+    # each class of G is the image of a parent class; key it by its least element
+    by_least: dict[int, SubgroupSet] = {}
+    for cls, ncl in zip(conjugacy_classes(parent), ncls):
+        by_least.setdefault(int(proj[cls].min()), ncl)
+    return [bits_of(proj[by_least[x].elements]) for x in sorted(by_least)]
+
+
 @memo("min_norm_over")
 def minimal_normals_over(G: Group, Z: SubgroupSet) -> list[SubgroupSet]:
     """Lifts of the minimal normal subgroups of G/Z, in canonical order.
 
-    Each candidate is Z together with the G-conjugacy class of one element
-    outside Z; minimal candidates are exactly the lifted minimal normals.
+    Each candidate is the product Z<x^G> of the normal subgroup Z with the
+    memoised normal closure of a class outside Z (`class_normal_closures`,
+    pulled back through `origin` for a quotient); minimal candidates are
+    exactly the lifted minimal normals.
     """
     cands: dict[int, SubgroupSet] = {}
-    for cls in conjugacy_classes(G):
-        x = int(cls[0])
-        if Z.contains(x):
+    for ncl in {s.bits: s for s in class_normal_closures(G)}.values():
+        if ncl.issubset(Z):
             continue
-        elems = closure_elements(G, np.concatenate([Z.elements, cls]))
-        b = bits_of(elems)
+        if Z.order == 1:
+            cands[ncl.bits] = ncl
+            continue
+        b = bits_of(G.mul[Z.elements[:, None], ncl.elements])
         if b not in cands:
             cands[b] = SubgroupSet(G, b, check=False)
     mins = minimal_members(cands.values())

@@ -209,7 +209,10 @@ def maximal_subgroups(G: Group) -> list[SubgroupSet]:
 
 
 def minimal_normal_subgroups(G: Group) -> list[SubgroupSet]:
-    return minimal_members([s for s in normal_subgroups(G) if s.order > 1])
+    """Minimal normal subgroups in (order, bits) order, from class closures
+    alone: no subgroup lattice is built."""
+    from .chiefs import minimal_normals_over  # chiefs imports this module
+    return minimal_normals_over(G, G.trivial_subgroup())
 
 
 def core(G: Group, H: SubgroupSet, within: SubgroupSet | None = None) -> SubgroupSet:
@@ -237,13 +240,10 @@ def section_centralizer(G: Group, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet
     hel = H.elements
     kmask = np.zeros(G.n, dtype=bool)
     kmask[K.elements] = True
-    hinv = G.inv[hel]
-    members = []
-    for g in range(G.n):
-        comm = G.mul[G.mul[G.mul[g, hel], G.inv[g]], hinv]
-        if kmask[comm].all():
-            members.append(g)
-    return SubgroupSet(G, bits_of(members), check=False)
+    # comm[g, i] = g h_i g^-1 h_i^-1, for every g at once
+    comm = G.mul[G.mul[G.mul[:, hel], G.inv[:, None]], G.inv[hel]]
+    return SubgroupSet(G, bits_of(np.flatnonzero(kmask[comm].all(axis=1))),
+                       check=False)
 
 
 # -- element-level structural subgroups (no lattice required) ---------------

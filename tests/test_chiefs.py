@@ -1,5 +1,6 @@
 """Chief series, centrality of chief factors, and hypercentre computations."""
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from formalab import (
     build_group,
     catalog,
     catalog_group,
+    catalog_groups,
     chief_series,
     chief_series_through,
     is_f_central,
@@ -23,15 +25,24 @@ from formalab import (
     p_dec,
     p_nilp,
     p_sup,
+    quotient_group,
+    section_centralizer,
     section_extension,
     z_f,
     z_pi_f,
     z_pi_f_oracle,
 )
-from formalab.chiefs import ChiefFactor
+from formalab.chiefs import ChiefFactor, class_normal_closures, minimal_normals_over
 from formalab.errors import ClosureCapExceeded, NotNormal, PreconditionViolated
-from formalab.groups import group_from_permutations
-from formalab.lattice import hypercentre
+from formalab.groups import (
+    Group,
+    SubgroupSet,
+    bits_of,
+    closure_elements,
+    conjugacy_classes,
+    group_from_permutations,
+)
+from formalab.lattice import hypercentre, minimal_members, normal_subgroups, o_p
 
 
 def test_chief_series_of_s4(s4):
@@ -219,3 +230,107 @@ def test_over_cap_factor_is_refused_before_it_is_built(monkeypatch, name):
             is_f_central_semidirect(G, fac, F)
     assert built == [] and quotients == []
     assert not any(isinstance(k, tuple) and k[0] == "sec_ext" for k in G._cache)
+
+
+# -- minimal normals over Z from memoised class closures -----------------------
+
+def _minimal_normals_over_by_closure(G, Z):
+    """Reference: one closure of Z with each conjugacy class outside Z."""
+    cands = {}
+    for cls in conjugacy_classes(G):
+        if Z.contains(int(cls[0])):
+            continue
+        b = bits_of(closure_elements(G, np.concatenate([Z.elements, cls])))
+        cands.setdefault(b, SubgroupSet(G, b, check=False))
+    return sorted(minimal_members(cands.values()), key=lambda s: (s.order, s.bits))
+
+
+def _assert_minimal_normals_match_reference(G, Zs):
+    for Z in Zs:
+        assert [m.bits for m in minimal_normals_over(G, Z)] == \
+            [m.bits for m in _minimal_normals_over_by_closure(G, Z)], (G.name, Z.order)
+
+
+def _series_terms(G):
+    return list(chief_series(G, "first").terms) + list(chief_series(G, "last").terms)
+
+
+def test_minimal_normals_over_match_closure_reference_catalogwide():
+    for G in catalog_groups():
+        if G.n <= 128 or G.name == "Ex1.2":
+            _assert_minimal_normals_match_reference(
+                G, _series_terms(G) + normal_subgroups(G))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_minimal_normals_over_match_closure_reference_on_random_groups(spec):
+    G = _small_group(spec)
+    _assert_minimal_normals_match_reference(G, _series_terms(G) + normal_subgroups(G))
+
+
+def _link_free(D):
+    return Group(D.mul, D.name, gen_idx=D.gen_idx)
+
+
+def _no_closure(*args):
+    raise AssertionError("pulled-back class closures ran a closure")
+
+
+def test_quotient_class_closures_are_pulled_back(monkeypatch):
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        class_normal_closures(G)
+        for N in normal_subgroups(G):
+            Q = quotient_group(G, N).target
+            with monkeypatch.context() as m:
+                m.setattr(chiefs_mod, "closure_elements", _no_closure)
+                got = class_normal_closures(Q)
+            want = class_normal_closures(_link_free(Q))
+            assert [s.bits for s in got] == [s.bits for s in want], (G.name, N.order)
+            # classes with the same closure share one SubgroupSet
+            assert len({id(s) for s in got}) == len({s.bits for s in got})
+
+
+def test_quotient_of_parent_without_class_closures_computes_its_own():
+    G = _fresh("S4")
+    Q = quotient_group(G, o_p(G, 2)).target  # S4/V4, three classes
+    before = dict(G._cache)
+    got = class_normal_closures(Q)
+    assert [s.bits for s in got] == \
+        [s.bits for s in class_normal_closures(_link_free(Q))]
+    assert len(got) == 3
+    assert G._cache == before
+    assert "class_ncl" not in G._cache
+
+
+# -- vectorised section centralizer --------------------------------------------
+
+def _section_centralizer_by_loop(G, H, K):
+    """Reference: test [g, h] in K for each g of G in turn."""
+    hel = H.elements
+    kmask = np.zeros(G.n, dtype=bool)
+    kmask[K.elements] = True
+    members = [g for g in range(G.n)
+               if kmask[G.mul[G.mul[G.mul[g, hel], G.inv[g]], G.inv[hel]]].all()]
+    return bits_of(members)
+
+
+def _assert_section_centralizers_match_loop(G):
+    for choose in ("first", "last"):
+        for fac in chief_series(G, choose).factors:
+            assert section_centralizer(G, fac.H, fac.K).bits == \
+                _section_centralizer_by_loop(G, fac.H, fac.K), (G.name, fac.order)
+
+
+def test_section_centralizer_matches_loop_catalogwide():
+    for G in catalog_groups():
+        if G.n <= 128:
+            _assert_section_centralizers_match_loop(G)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_section_centralizer_matches_loop_on_random_groups(spec):
+    _assert_section_centralizers_match_loop(_small_group(spec))

@@ -47,6 +47,7 @@ from formalab import (
     upper_central_series,
     z_pi_f,
 )
+from formalab.chiefs import class_normal_closures
 from formalab.errors import NotActionHomomorphism
 from formalab.groups import (
     _vector_index_perm,
@@ -344,7 +345,7 @@ MEMO_FAMILIES = {
     "o_pi", "fitting", "as_group",
     "min_norm_over", "quot", "central",
     "member", "residual", "sat",
-    "f_maximal", "kstep", "kquot", "sec_ext",
+    "f_maximal", "kstep", "kquot", "sec_ext", "class_ncl",
 }
 
 
@@ -379,6 +380,7 @@ def test_memo_keys_hold_no_subgroups():
     upper_central_series(G)
     fitting_subgroup(G)
     are_isomorphic(G, G)
+    class_normal_closures(G)
     for F in (NIL, SUP):
         f_max_report(G, F)
         z_pi_f(G, F)

@@ -45,6 +45,7 @@ from formalab.lattice import (
     derived_series,
     derived_subgroup,
     fitting_via_lattice,
+    minimal_members,
     o_pi,
     subgroup_as_group,
 )
@@ -175,6 +176,20 @@ def test_named_subgroup_dispatch(s4):
     assert named_subgroup(s4, "O_pprime_p", p=2).order == 4
     assert named_subgroup(s4, "O_pprime_p", p=3).order == 12
     assert named_subgroup(s4, "socle").order == 4
+
+
+def test_minimal_normal_subgroups_build_no_lattice():
+    G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
+                     "generators": ["(1 2 3 4)", "(1 2)"]})
+    assert [m.order for m in minimal_normal_subgroups(G)] == [4]
+    assert "lattice" not in G._cache
+
+
+def test_minimal_normal_subgroups_match_lattice_catalogwide():
+    for G in catalog_groups():
+        want = minimal_members([s for s in normal_subgroups(G) if s.order > 1])
+        assert [m.bits for m in minimal_normal_subgroups(G)] == \
+            [m.bits for m in want], G.name
 
 
 def test_section_centralizer(s4):
