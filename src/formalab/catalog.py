@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConstructionFailed, InvalidPermutation, PreconditionViolated
 from .groups import (
+    ORDER_CAP,
     Group,
     SubgroupSet,
     direct_product,
@@ -24,7 +25,7 @@ from .groups import (
     matrix_module_semidirect,
     semidirect_product,
 )
-from .lattice import is_nilpotent, is_soluble
+from .lattice import is_nilpotent, is_soluble, prime_factors
 
 
 # -- cycle notation ---------------------------------------------------------
@@ -106,12 +107,11 @@ def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
 
 def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
     if kind == "permutation":
-        degree = int(spec["degree"])
+        degree = _json_int(spec["degree"], "degree")
         gens = [parse_cycles(c, degree) for c in spec["generators"]]
         return group_from_permutations(degree, gens, name=name)
     if kind == "table":
-        mul = np.asarray(spec["table"], dtype=np.intp)
-        return Group(mul, name)
+        return Group(_json_int_array(spec["table"], "table"), name)
     if kind == "direct":
         factors = [_resolve(f, resolve) for f in spec["factors"]]
         if len(factors) < 2:
@@ -123,14 +123,39 @@ def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
     if kind == "semidirect":
         N = _resolve(spec["normal"], resolve)
         H = _resolve(spec["actor"], resolve)
-        gen_actions = [np.asarray(a, dtype=np.intp) for a in spec["action"]]
+        gen_actions = [_json_int_array(a, "action") for a in spec["action"]]
         return semidirect_product(N, H, _extend_action(H, gen_actions), name=name)
     if kind == "matrix_module":
         H = _resolve(spec["actor"], resolve)
+        p = _json_int(spec["p"], "p")
+        # a larger p cannot fit the order cap, and would make trial division slow
+        if not (p <= ORDER_CAP and prime_factors(p) == (p,)):
+            raise PreconditionViolated(
+                f"matrix_module p must be a prime up to {ORDER_CAP}, got {p}")
+        mats = [_json_int_array(m, "matrix") for m in spec["generators"]]
         G, V = matrix_module_semidirect(
-            int(spec["p"]), int(spec["dim"]), spec["generators"], H, name=name)
+            p, _json_int(spec["dim"], "dim"), mats, H, name=name)
         G._cache["designated_module"] = V
         return G
+
+
+def _json_int(value, field: str) -> int:
+    """`value` if it is a JSON integer: an int, not a bool and not a float."""
+    if type(value) is not int:
+        raise PreconditionViolated(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_int_array(value, field: str) -> np.ndarray:
+    """Nested lists whose leaves are all JSON integers, as an index array."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        else:
+            _json_int(v, f"every {field} entry")
+    return np.asarray(value, dtype=np.intp)
 
 
 def _resolve(ref, resolve: Resolver) -> Group:

@@ -107,7 +107,8 @@ class Group:
     """
 
     def __init__(self, mul, name: str, gen_idx: Sequence[int] | None = None,
-                 provenance: str = "table", origin: Origin | None = None):
+                 provenance: str = "table", origin: Origin | None = None, *,
+                 _associative: bool = False):
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.intp))
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -119,7 +120,7 @@ class Group:
         self.name = name
         self.provenance = provenance
         self.origin = origin
-        self._validate_table()
+        self._validate_table(_associative)
         self.inv = self._invert_table()
         if gen_idx is None:
             gen_idx = self._find_generators()
@@ -130,7 +131,20 @@ class Group:
 
     # -- construction checks ------------------------------------------------
 
-    def _validate_table(self) -> None:
+    def _validate_table(self, associative: bool) -> None:
+        """Check the table is a group: entries in range, index 0 a two-sided
+        identity, rows and columns permutations, and associativity.
+
+        Associativity is checked by the O(n^3) loop only for tables given
+        as they are (`Group(mul, name)` called directly, a "table" spec).
+        A derived table (`origin` set) is checked as a homomorphic image of
+        its parent instead.  The constructors of this module pass
+        `_associative=True` because their formula makes the table a group
+        once its parts are: a composition table of permutations, a direct
+        product of groups, a semidirect product whose action has passed
+        its automorphism and multiplicativity checks, and addition in
+        (Z/p)^dim.
+        """
         n, mul = self.n, self.mul
         ar = np.arange(n)
         if mul.min() < 0 or mul.max() >= n:
@@ -142,6 +156,8 @@ class Group:
             raise ValueError("table rows/columns are not permutations")
         if self.origin is not None:
             self._validate_against_origin()
+            return
+        if associative:
             return
         # full associativity check; the order cap keeps this affordable
         for x in range(n):
@@ -424,7 +440,8 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
         cols[j] = right[via[j], cols[parent[j]]]
     mul = cols.T
     gen_idx = [index[g] for g in gens]
-    return Group(mul, name, gen_idx=gen_idx, provenance=f"permutations deg {degree}")
+    return Group(mul, name, gen_idx=gen_idx, provenance=f"permutations deg {degree}",
+                 _associative=True)
 
 
 def direct_product(A: Group, B: Group, name: str | None = None,
@@ -436,7 +453,8 @@ def direct_product(A: Group, B: Group, name: str | None = None,
     mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :]).reshape(n, n)
     gens = [g * B.n for g in A.gen_idx] + list(B.gen_idx)
     return Group(mul, name or f"{A.name} x {B.name}", gen_idx=gens,
-                 provenance=f"direct product of {A.name}, {B.name}")
+                 provenance=f"direct product of {A.name}, {B.name}",
+                 _associative=True)
 
 
 def semidirect_product(N: Group, H: Group, action, name: str | None = None,
@@ -483,7 +501,8 @@ def semidirect_product(N: Group, H: Group, action, name: str | None = None,
            + H.mul[None, :, None, :]).reshape(n, n)
     gens = [nx * H.n for nx in N.gen_idx] + list(H.gen_idx)
     return Group(mul, name or f"{N.name} : {H.name}", gen_idx=gens,
-                 provenance=f"semidirect product of {N.name} by {H.name}")
+                 provenance=f"semidirect product of {N.name} by {H.name}",
+                 _associative=True)
 
 
 def trivial_action(N: Group, H: Group) -> np.ndarray:
@@ -503,7 +522,8 @@ def elementary_abelian_vector_group(p: int, dim: int,
     weights = p ** np.arange(dim)
     sums = (digits[:, None, :] + digits[None, :, :]) % p
     mul = sums @ weights
-    return Group(mul, name or f"E{n}", provenance=f"elementary abelian {p}^{dim}")
+    return Group(mul, name or f"E{n}", provenance=f"elementary abelian {p}^{dim}",
+                 _associative=True)
 
 
 def _vector_index_perm(p: int, dim: int, mat: np.ndarray) -> np.ndarray:

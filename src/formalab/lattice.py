@@ -280,16 +280,16 @@ def centre(G: Group) -> SubgroupSet:
 
 @memo("ucs")
 def upper_central_series(G: Group) -> list[SubgroupSet]:
-    """1 = Z_0 <= Z_1 <= ... up to the stable term Z_inf."""
+    """1 = Z_0 <= Z_1 <= ... up to the stable term Z_inf.
+
+    Each term is a centralizer in G itself, Z_{i+1} = C_G(G/Z_i), the g
+    whose commutators with all of G lie in Z_i; no quotient is built.
+    """
+    full = G.full_subgroup()
     series = [G.trivial_subgroup()]
-    while True:
-        z = series[-1]
-        if z.order == G.n:
-            break
-        qm = quotient_group(G, z)
-        zq = centre(qm.target)
-        nxt = qm.preimage_of(zq)
-        if nxt.bits == z.bits:
+    while series[-1].order < G.n:
+        nxt = section_centralizer(G, full, series[-1])
+        if nxt.bits == series[-1].bits:
             break
         series.append(nxt)
     return series

@@ -40,6 +40,7 @@ from formalab.groups import (
     bits_of,
     closure_elements,
     conjugacy_classes,
+    direct_product,
     group_from_permutations,
 )
 from formalab.lattice import hypercentre, minimal_members, normal_subgroups, o_p
@@ -334,3 +335,40 @@ def test_section_centralizer_matches_loop_catalogwide():
 @given(_two_perms)
 def test_section_centralizer_matches_loop_on_random_groups(spec):
     _assert_section_centralizers_match_loop(_small_group(spec))
+
+
+# -- tables that are groups by construction ------------------------------------
+# Their constructors skip the associativity loop; a link-free copy of the same
+# table runs it and raises ValueError if the table fails it.
+
+def test_catalog_groups_pass_the_associativity_loop():
+    for G in catalog_groups():
+        _link_free(G)
+
+
+def test_section_extensions_pass_the_associativity_loop():
+    for G in catalog_groups():
+        if G.n > 128:
+            continue
+        for choose in ("first", "last"):
+            for fac in chief_series(G, choose).factors:
+                try:
+                    E = section_extension(G, fac.H, fac.K)
+                except ClosureCapExceeded:
+                    continue  # refused before it is built
+                _link_free(E)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_permutation_groups_pass_the_associativity_loop(spec):
+    _link_free(_small_group(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_two_perms, _two_perms)
+def test_direct_products_pass_the_associativity_loop(spec_a, spec_b):
+    A, B = _small_group(spec_a), _small_group(spec_b)
+    if A.n * B.n > 256:
+        reject()
+    _link_free(direct_product(A, B))

@@ -184,3 +184,41 @@ def test_verify_accepts_pi_all_everywhere(capsys):
     code, data = run(capsys, "verify", "baer", "--pi", "all", "--max-order", "12")
     assert code == EXIT_OK
     assert data[0]["pass"] is True
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "permutation", "degree": 3.7, "generators": ["(1 2 3)"]},
+     "degree must be an integer"),
+    ({"kind": "permutation", "degree": True, "generators": ["()"]},
+     "degree must be an integer"),
+    ({"kind": "table", "table": [[0, 1.5], [1, 0]]},
+     "every table entry must be an integer"),
+    ({"kind": "semidirect", "normal": "C3", "actor": "C2", "action": [[0, 2.9, 1]]},
+     "every action entry must be an integer"),
+    ({"kind": "matrix_module", "actor": "C3", "p": 2.5, "dim": 2,
+      "generators": [[[0, 1], [1, 1]]]}, "p must be an integer"),
+    ({"kind": "matrix_module", "actor": "C3", "p": 2, "dim": 2,
+      "generators": [[[0, 1], [1.2, 1]]]}, "every matrix entry must be an integer"),
+    ({"kind": "matrix_module", "actor": "C3", "p": 4, "dim": 2,
+      "generators": [[[1, 0], [0, 1]]]}, "p must be a prime"),
+    ({"kind": "matrix_module", "actor": "C3", "p": 521, "dim": 1,
+      "generators": [[[1]]]}, "p must be a prime up to 512"),
+], ids=["degree-float", "degree-bool", "table-float", "action-float", "p-float",
+        "matrix-float", "p-composite", "p-over-cap"])
+def test_analyze_spec_with_non_integer_or_non_prime_number(capsys, tmp_path, spec,
+                                                           message):
+    # the float, bool and composite inputs once built a group and exited 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_non_associative_table_spec(capsys, tmp_path):
+    path = tmp_path / "loop5.json"
+    path.write_text(json.dumps({"name": "loop5", "kind": "table",
+                                "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                          [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+                                          [4, 2, 0, 1, 3]]}))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert "associativity fails" in capsys.readouterr().err

@@ -76,6 +76,16 @@ def test_bad_table_rejected():
         Group(mul, "broken")
 
 
+# a Latin square with identity 0 that is not associative: (1*1)*2 = 2, 1*(1*2) = 4
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+         [4, 2, 0, 1, 3]]
+
+
+def test_raw_table_runs_the_associativity_loop():
+    with pytest.raises(ValueError, match="associativity fails"):
+        Group(np.array(LOOP5), "loop5")
+
+
 def test_bad_permutation_rejected():
     with pytest.raises(InvalidPermutation):
         group_from_permutations(3, [(1, 1, 2)])

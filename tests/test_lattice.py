@@ -10,6 +10,7 @@ from formalab import (
     Group,
     all_subgroups,
     build_group,
+    catalog,
     catalog_group,
     catalog_groups,
     centre,
@@ -329,3 +330,49 @@ def test_forged_subgroup_origin_is_rejected(s3):
     c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     with pytest.raises(ValueError):
         Group(c3, "forged", origin=Origin(s3, not_closed, None))
+
+
+# -- upper central series by centralizers --------------------------------------
+
+def _upper_central_series_by_quotients(G):
+    """Reference: Z_{i+1} is the preimage of the centre of G/Z_i."""
+    series = [G.trivial_subgroup()]
+    while True:
+        z = series[-1]
+        if z.order == G.n:
+            break
+        qm = quotient_group(G, z)
+        nxt = qm.preimage_of(centre(qm.target))
+        if nxt.bits == z.bits:
+            break
+        series.append(nxt)
+    return [t.bits for t in series]
+
+
+def test_upper_central_series_matches_quotients_catalogwide(ex324):
+    for G in catalog_groups():
+        if G.n <= 128 or G is ex324:
+            assert [t.bits for t in upper_central_series(G)] == \
+                _upper_central_series_by_quotients(G), G.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_upper_central_series_matches_quotients_on_random_groups(spec):
+    degree, a, b = spec
+    G = group_from_permutations(degree, [a, b])
+    assert [t.bits for t in upper_central_series(G)] == \
+        _upper_central_series_by_quotients(G)
+
+
+def _no_quotient(*args):
+    raise AssertionError("upper_central_series built a quotient")
+
+
+@pytest.mark.parametrize("name, orders", [("D16", [1, 2, 4, 16]),
+                                          ("SL(2,3)", [1, 2]), ("S4", [1])])
+def test_upper_central_series_builds_no_quotient(monkeypatch, name, orders):
+    # built anew from its catalog spec, so no series is cached yet
+    G = build_group(next(e.spec for e in catalog() if e.name == name))
+    monkeypatch.setattr(lattice_mod, "quotient_group", _no_quotient)
+    assert [t.order for t in upper_central_series(G)] == orders

@@ -1,0 +1,33 @@
+"""formalab's group invariants against sympy's, an oracle written elsewhere.
+
+Each catalog group becomes a sympy PermutationGroup on its right regular
+representation: generator g acts on the element indices by x -> x g, the
+column `G.mul[:, g]` of the table.
+"""
+
+import pytest
+
+from formalab import catalog_groups, centre, derived_subgroup, is_nilpotent, is_soluble
+
+pytest.importorskip("sympy")
+from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+
+
+def _regular_representation(G):
+    gens = [Permutation(G.mul[:, g].tolist()) for g in G.gen_idx]
+    return PermutationGroup(gens or [Permutation(list(range(G.n)))])
+
+
+def test_catalog_invariants_match_sympy():
+    groups = catalog_groups()
+    assert len(groups) == 65
+    mismatches = []
+    for G in groups:
+        P = _regular_representation(G)
+        ours = (G.n, centre(G).order, derived_subgroup(G).order, is_soluble(G),
+                is_nilpotent(G))
+        theirs = (P.order(), P.center().order(), P.derived_subgroup().order(),
+                  P.is_solvable, P.is_nilpotent)
+        if ours != theirs:
+            mismatches.append((G.name, ours, theirs))
+    assert mismatches == []
