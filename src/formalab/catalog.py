@@ -25,7 +25,7 @@ from .groups import (
     matrix_module_semidirect,
     semidirect_product,
 )
-from .lattice import is_nilpotent, is_soluble, prime_factors
+from .lattice import is_nilpotent, is_small_prime, is_soluble
 
 
 # -- cycle notation ---------------------------------------------------------
@@ -128,8 +128,7 @@ def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
     if kind == "matrix_module":
         H = _resolve(spec["actor"], resolve)
         p = _json_int(spec["p"], "p")
-        # a larger p cannot fit the order cap, and would make trial division slow
-        if not (p <= ORDER_CAP and prime_factors(p) == (p,)):
+        if not is_small_prime(p):
             raise PreconditionViolated(
                 f"matrix_module p must be a prime up to {ORDER_CAP}, got {p}")
         mats = [_json_int_array(m, "matrix") for m in spec["generators"]]

@@ -20,7 +20,8 @@ from .errors import (
     SubgroupCountCapExceeded,
 )
 from .formations import parse_formation
-from .lattice import prime_factors
+from .groups import ORDER_CAP
+from .lattice import is_small_prime
 from .suites import (
     CERTIFIED_BOUNDARY,
     SuiteReport,
@@ -51,14 +52,15 @@ def _emit(obj) -> None:
 
 
 def _prime(value) -> int:
-    """`value` as a prime; anything else (0, 1, negatives, composites,
-    non-integers, empty items) raises PreconditionViolated."""
+    """`value` as a prime up to ORDER_CAP; anything else (0, 1, negatives,
+    composites, larger primes, non-integers, empty items) raises
+    PreconditionViolated."""
     try:
         p = int(value)
     except ValueError:
         p = 0
-    if prime_factors(p) != (p,):
-        raise PreconditionViolated(f"{value!r} is not a prime")
+    if not is_small_prime(p):
+        raise PreconditionViolated(f"{value!r} is not a prime up to {ORDER_CAP}")
     return p
 
 

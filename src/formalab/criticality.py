@@ -28,15 +28,23 @@ class CriticalWitness:
 
 
 def is_class_critical(G: Group, class_test: Callable[[Group], bool]) -> bool:
-    """G fails the test while every proper subgroup passes it."""
+    """G fails the test while every proper subgroup passes it.
+
+    `class_test` must describe a class of groups, closed under isomorphism:
+    it is asked of one member of each conjugacy class of proper subgroups,
+    and its answer stands for the whole class.
+    """
     if class_test(G):
         return False
-    for s in all_subgroups(G).subgroups:
-        if s.order == G.n:
+    lat = all_subgroups(G)
+    passed: set[int] = set()  # class ids
+    for s, c in zip(lat.subgroups, lat.classes):
+        if s.order == G.n or c in passed:
             continue
         sub, _ = subgroup_as_group(G, s)
         if not class_test(sub):
             return False
+        passed.add(c)
     return True
 
 

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormalabError, NoSatellite, NotSoluble, PreconditionViolated
-from .groups import Group, SubgroupSet, element_orders, memo, quotient_group
+from .groups import (
+    ORDER_CAP,
+    Group,
+    SubgroupSet,
+    element_orders,
+    memo,
+    quotient_group,
+)
 from .lattice import (
     derived_subgroup,
     group_exponent,
@@ -28,6 +35,7 @@ from .lattice import (
     is_nilpotent,
     is_p_group,
     is_pi_group,
+    is_small_prime,
     is_soluble,
     nilpotent_length,
     normal_subgroups,
@@ -57,11 +65,13 @@ class FormationSpec:
         if self.tag not in _TAGS:
             raise PreconditionViolated(f"unknown formation tag {self.tag!r}")
         if self.tag in ("pSup", "pNilp", "pDec") and (
-                self.p is None or prime_factors(self.p) != (self.p,)):
-            raise PreconditionViolated(f"{self.tag} needs a prime parameter")
+                self.p is None or not is_small_prime(self.p)):
+            raise PreconditionViolated(
+                f"{self.tag} needs a prime parameter up to {ORDER_CAP}")
         if self.tag in ("PiClosed", "GPi", "SPi") and (
-                not self.pi or any(prime_factors(q) != (q,) for q in self.pi)):
-            raise PreconditionViolated(f"{self.tag} needs a nonempty prime set")
+                not self.pi or not all(is_small_prime(q) for q in self.pi)):
+            raise PreconditionViolated(
+                f"{self.tag} needs a nonempty set of primes up to {ORDER_CAP}")
         if self.tag == "NilPow" and (self.r is None or self.r < 0):
             raise PreconditionViolated("NilPow needs a length r >= 0")
         if self.tag == "AExp" and (self.exp is None or self.exp < 1):

@@ -41,11 +41,18 @@ def f_maximal_subgroups(G: Group, F: FormationSpec) -> list[SubgroupSet]:
     an F-maximal subgroup already found is in F but not maximal and is
     skipped.  Any other subgroup in F is F-maximal: a larger F-subgroup
     would have been scanned first and lie in a found one, which would then
-    contain this subgroup too.
+    contain this subgroup too.  F is closed under isomorphism, so
+    membership is tested once per conjugacy class of subgroups.
     """
+    lat = all_subgroups(G)
+    in_f: dict[int, bool] = {}  # class id -> membership verdict
     found: list[SubgroupSet] = []
-    for s in reversed(all_subgroups(G).subgroups):
-        if not any(s.issubset(t) for t in found) and _in_formation(G, s, F):
+    for s, c in zip(reversed(lat.subgroups), reversed(lat.classes)):
+        if any(s.issubset(t) for t in found):
+            continue
+        if c not in in_f:
+            in_f[c] = _in_formation(G, s, F)
+        if in_f[c]:
             found.append(s)
     return found[::-1]
 
@@ -97,16 +104,32 @@ def is_k_f_subnormal(G: Group, H: SubgroupSet, F: FormationSpec) -> bool:
     return False
 
 
+def _knormal_flags(G: Group, members, F: FormationSpec) -> list[bool]:
+    """`is_k_f_subnormal` of each member, asked once per conjugacy class of
+    subgroups: an automorphism of G maps admissible chain steps to
+    admissible ones, so conjugate subgroups get the same answer."""
+    lat = all_subgroups(G)
+    class_of = dict(zip([s.bits for s in lat.subgroups], lat.classes))
+    verdict: dict[int, bool] = {}  # class id -> K-F-subnormality
+    flags = []
+    for s in members:
+        c = class_of[s.bits]
+        if c not in verdict:
+            verdict[c] = is_k_f_subnormal(G, s, F)
+        flags.append(verdict[c])
+    return flags
+
+
 def int_star_f(G: Group, F: FormationSpec) -> SubgroupSet:
     """Intersection of the non-K-F-subnormal F-maximal subgroups."""
-    family = [s for s in f_maximal_subgroups(G, F)
-              if not is_k_f_subnormal(G, s, F)]
-    return intersection(G, family)
+    fmax = f_maximal_subgroups(G, F)
+    flags = _knormal_flags(G, fmax, F)
+    return intersection(G, [s for s, fl in zip(fmax, flags) if not fl])
 
 
 def f_max_report(G: Group, F: FormationSpec) -> FMaxReport:
     fmax = tuple(f_maximal_subgroups(G, F))
-    flags = tuple(is_k_f_subnormal(G, s, F) for s in fmax)
+    flags = tuple(_knormal_flags(G, fmax, F))
     return FMaxReport(
         formation=F,
         f_maximal=fmax,

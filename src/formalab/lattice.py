@@ -7,13 +7,15 @@ brings in its whole class; everything is deduplicated by canonical bitmask.
 A quotient or subgroup-as-group whose parent already has its lattice cached
 takes its lattice, and a quotient also its normality flags, from the
 parent's instead (correspondence theorem), with the same members in the
-same order.  The element-level helpers (derived series, centre, O_p, ...)
-deliberately do not require a lattice so that formation membership tests
-stay cheap.
+same order.  Each lattice also records which members are conjugate, so
+that a question invariant under conjugation is asked once per class.  The
+element-level helpers (derived series, centre, O_p, ...) deliberately do
+not require a lattice so that formation membership tests stay cheap.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     SubgroupCountCapExceeded,
 )
 from .groups import (
+    ORDER_CAP,
     Group,
     Origin,
     QuotientMap,
@@ -32,6 +35,7 @@ from .groups import (
     bits_of,
     closure_elements,
     conjugacy_classes,
+    elems_of,
     element_orders,
     is_normal,
     memo,
@@ -56,6 +60,15 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_small_prime(p: int) -> bool:
+    """p is a prime no larger than ORDER_CAP.
+
+    No larger prime divides the order of a group here, and the bound is
+    checked before trial division, which would take years on a large prime.
+    """
+    return 1 < p <= ORDER_CAP and prime_factors(p) == (p,)
+
+
 def pi_part(n: int, pi) -> int:
     """Largest divisor of n with all prime factors in pi."""
     part = 1
@@ -69,13 +82,22 @@ def pi_part(n: int, pi) -> int:
 
 class Lattice:
     """All subgroups of a group, in increasing-order-then-bitmask order,
-    with a parallel list of normality flags."""
+    with parallel lists of normality flags and conjugacy-class ids.
+
+    `classes[i] == classes[j]` exactly when members i and j are conjugate
+    in the group, and each id is the index of its class's first member.
+    An enumerated lattice records the classes its enumeration finds; a
+    quotient's lattice inherits its parent's (X ~ Y in G iff X/N ~ Y/N in
+    G/N); a re-indexed subgroup's lattice splits each parent class with two
+    or more members inside it into its conjugacy classes there.
+    """
 
     def __init__(self, parent: Group, subgroups: list[SubgroupSet],
-                 normal_flags: list[bool]):
+                 normal_flags: list[bool], classes: list[int]):
         self.parent = parent
         self.subgroups = subgroups
         self.normal_flags = normal_flags
+        self.classes = classes
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -86,30 +108,36 @@ class Lattice:
 
 @memo("lattice")
 def all_subgroups(G: Group) -> Lattice:
-    """Complete subgroup lattice of G, at most SUBGROUP_CAP members.
+    """Complete subgroup lattice of G, at most SUBGROUP_CAP members, with
+    the normality flag and conjugacy-class id of each member.
 
     A derived group (`G.origin` set) whose parent's lattice is cached gets
-    its lattice from the parent's; any other group is enumerated.
+    its lattice, and from it the class ids, from the parent's; any other
+    group is enumerated, and its class ids come from the enumeration.
     """
     found = _corresponding_bits(G)
     if found is None:
-        found = [(b, None) for b in _enumerate_bits(G)]
+        found = [(b, None, key) for b, key in _enumerate_bits(G).items()]
     elif len(found) > SUBGROUP_CAP:
         raise SubgroupCountCapExceeded(
             f"{G.name} has more than {SUBGROUP_CAP} subgroups")
-    found.sort(key=lambda bf: (bf[0].bit_count(), bf[0]))
-    subs = [SubgroupSet(G, b, check=False) for b, _ in found]
-    flags = [is_normal(G, s) if f is None else f for s, (_, f) in zip(subs, found)]
-    return Lattice(G, subs, flags)
+    found.sort(key=lambda bfk: (bfk[0].bit_count(), bfk[0]))
+    subs = [SubgroupSet(G, b, check=False) for b, _, _ in found]
+    flags = [is_normal(G, s) if f is None else f
+             for s, (_, f, _) in zip(subs, found)]
+    first: dict[int, int] = {}
+    classes = [first.setdefault(key, i) for i, (_, _, key) in enumerate(found)]
+    return Lattice(G, subs, flags, classes)
 
 
-def _corresponding_bits(G: Group) -> list[tuple[int, bool | None]] | None:
+def _corresponding_bits(G: Group) -> list[tuple[int, bool | None, int]] | None:
     """Subgroup bitmasks of a derived group read off its parent's cached
     lattice, or None when G has no parent or the parent has no lattice yet
     (a parent lattice is never built just to derive from it).
 
     Each bitmask comes with its normal flag when the parent's lattice fixes
-    it (X/N is normal in G/N iff X is normal in G), else with None.
+    it (X/N is normal in G/N iff X is normal in G), else with None, and
+    with a class key shared exactly by the members conjugate in G.
     """
     if G.origin is None:
         return None
@@ -119,14 +147,40 @@ def _corresponding_bits(G: Group) -> list[tuple[int, bool | None]] | None:
         return None
     if proj is None:  # G is `sub` re-indexed by its ascending element array
         el = sub.elements
-        return [(bits_of(np.searchsorted(el, s.elements)), None)
-                for s in lat.subgroups if s.issubset(sub)]
-    return [(bits_of(proj[s.elements]), f)
-            for s, f in zip(lat.subgroups, lat.normal_flags) if sub.issubset(s)]
+        inside = [(bits_of(np.searchsorted(el, s.elements)), c)
+                  for s, c in zip(lat.subgroups, lat.classes) if s.issubset(sub)]
+        return [(b, None, key) for b, key in _split_classes(G, inside)]
+    # a quotient keeps the parent's classes
+    return [(bits_of(proj[s.elements]), f, c)
+            for s, f, c in zip(lat.subgroups, lat.normal_flags, lat.classes)
+            if sub.issubset(s)]
 
 
-def _enumerate_bits(G: Group) -> list[int]:
-    """Subgroup bitmasks of G by cyclic extension over zuppos, up to conjugacy.
+def _split_classes(G: Group, members: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Class keys in G for subgroups of G given with their classes in a
+    larger group, as (bitmask, parent class id) pairs.
+
+    Conjugacy in G is finer: a parent class with one member here stays a
+    class, and one with more splits into the G-classes of its members.
+    Every key returned is the bitmask of a member of its G-class.
+    """
+    count = Counter(c for _, c in members)
+    key: dict[int, int] = {}
+    for b, c in members:
+        if b in key:
+            continue
+        if count[c] == 1:
+            key[b] = b
+        else:
+            for conj in _conjugate_bits(G, elems_of(b)):
+                key[conj] = b
+    return [(b, key[b]) for b, _ in members]
+
+
+def _enumerate_bits(G: Group) -> dict[int, int]:
+    """Subgroup bitmasks of G by cyclic extension over zuppos, up to
+    conjugacy, each mapped to a class key: the bitmask of the member of its
+    conjugacy class that the enumeration found first.
 
     A zuppo is a cyclic subgroup of prime-power order; every subgroup is
     the join of its zuppos.  Only one member of each conjugacy class is
@@ -141,11 +195,11 @@ def _enumerate_bits(G: Group) -> list[int]:
         if len(prime_factors(int(orders[x]))) == 1:
             c = closure_elements(G, [x])
             zuppos.setdefault(bits_of(c), c)
-    found = {1}
+    found = {1: 1}
     queue: list[tuple[int, np.ndarray]] = []
 
     def add_class(hb: int, hel: np.ndarray) -> None:
-        found.update(_conjugate_bits(G, hel))
+        found.update((b, hb) for b in _conjugate_bits(G, hel))
         if len(found) > SUBGROUP_CAP:
             raise SubgroupCountCapExceeded(
                 f"{G.name} has more than {SUBGROUP_CAP} subgroups")
@@ -163,7 +217,7 @@ def _enumerate_bits(G: Group) -> list[int]:
             jb = bits_of(j)
             if jb not in found:
                 add_class(jb, j)
-    return list(found)
+    return found
 
 
 def _conjugate_bits(G: Group, kel: np.ndarray) -> list[int]:

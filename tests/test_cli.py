@@ -222,3 +222,35 @@ def test_analyze_non_associative_table_spec(capsys, tmp_path):
                                           [4, 2, 0, 1, 3]]}))
     assert main(["analyze", str(path)]) == EXIT_LOAD
     assert "associativity fails" in capsys.readouterr().err
+
+
+BIG_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "S4", "--pi", BIG_PRIME], "not a prime up to 512"),
+    (["analyze", "S4", "--pi", "521"], "not a prime up to 512"),
+    (["analyze", "S4", "--pi", f"2,{BIG_PRIME}"], "not a prime up to 512"),
+    (["verify", "theorem_a", "--formation", "nil", "--pi", BIG_PRIME],
+     "not a prime up to 512"),
+    (["hunt-critical", "--formation", "nil", "--p", BIG_PRIME],
+     "not a prime up to 512"),
+    (["analyze", "S4", "--formation", f"pnilp:{BIG_PRIME}"],
+     "needs a prime parameter up to 512"),
+    (["analyze", "S4", "--formation", f"piclosed:2,{BIG_PRIME}"],
+     "needs a nonempty set of primes up to 512"),
+], ids=["analyze-pi-big", "analyze-pi-521", "analyze-pi-list", "verify-pi-big",
+        "hunt-p-big", "pnilp-big", "piclosed-big"])
+def test_prime_over_order_cap_is_refused_before_trial_division(capsys, monkeypatch,
+                                                              argv, message):
+    # no prime above ORDER_CAP divides a group order; trial division of
+    # BIG_PRIME would run for years
+    trial_division = lattice_mod.prime_factors
+
+    def capped_trial_division(n):
+        if n > 512:
+            raise AssertionError(f"trial division of {n}")
+        return trial_division(n)
+    monkeypatch.setattr(lattice_mod, "prime_factors", capped_trial_division)
+    assert main(argv) == EXIT_LOAD
+    assert message in capsys.readouterr().err

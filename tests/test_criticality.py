@@ -10,6 +10,7 @@ from formalab import (
     NoSatellite,
     boundary_scan,
     catalog_group,
+    catalog_groups,
     is_class_critical,
     is_member,
     p_dec,
@@ -17,6 +18,7 @@ from formalab import (
     pi_closed,
     satellite_member,
 )
+from formalab.lattice import all_subgroups, subgroup_as_group
 
 
 def test_s3_is_minimal_nonnilpotent(s3):
@@ -78,3 +80,25 @@ def test_scan_requires_satellite():
 def test_witness_fields():
     w = boundary_scan(SUP, {3}, [catalog_group("A4")])[0]
     assert w.group == "A4" and w.p == 3 and not w.in_f
+
+
+# -- the per-class scan against the per-member loop -----------------------------
+
+def _is_class_critical_by_member(G, class_test):
+    """Reference: the test asked of every proper subgroup, conjugate or not."""
+    if class_test(G):
+        return False
+    for s in all_subgroups(G).subgroups:
+        if s.order < G.n and not class_test(subgroup_as_group(G, s)[0]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("F", [NIL, SUP, NA, p_dec(2), p_nilp(3)], ids=str)
+def test_is_class_critical_matches_per_member_loop_catalogwide(F):
+    tests = [lambda H: is_member(F, H)]
+    tests += [lambda H, p=p: satellite_member(F, p, H) for p in (2, 3, 5)]
+    for G in catalog_groups():
+        for class_test in tests:
+            assert is_class_critical(G, class_test) == \
+                _is_class_critical_by_member(G, class_test), G.name

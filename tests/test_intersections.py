@@ -17,12 +17,19 @@ from formalab import (
     int_star_f,
     is_k_f_subnormal,
     is_member,
+    p_dec,
+    p_nilp,
     p_sup,
     parse_formation,
 )
 from formalab.groups import group_from_permutations, is_normal
 from formalab.intersections import _in_formation
-from formalab.lattice import all_subgroups, maximal_members, subgroup_as_group
+from formalab.lattice import (
+    all_subgroups,
+    intersection,
+    maximal_members,
+    subgroup_as_group,
+)
 
 # the CLI formation vocabulary, every entry subgroup-closed
 VOCABULARY = tuple(parse_formation(name) for name in (
@@ -153,3 +160,18 @@ def test_menu_formations_are_subgroup_closed(F):
             for s in all_subgroups(G).subgroups:
                 if s.issubset(M):
                     assert _in_formation(G, s, F), (G.name, M.order, s.order)
+
+
+# -- per-class K-F flags against the per-member test -----------------------------
+
+KF_FORMATIONS = (NIL, SUP, NA, SYLTOWER, p_nilp(2), p_nilp(3), p_dec(2))
+
+
+@pytest.mark.parametrize("F", KF_FORMATIONS, ids=str)
+def test_knormal_flags_match_per_member_test_catalogwide(F):
+    for G in catalog_groups():
+        rep = f_max_report(G, F)
+        want = [is_k_f_subnormal(G, s, F) for s in rep.f_maximal]
+        assert list(rep.knormal_flags) == want, G.name
+        star = intersection(G, [s for s, fl in zip(rep.f_maximal, want) if not fl])
+        assert int_star_f(G, F).bits == rep.int_star.bits == star.bits, G.name

@@ -376,3 +376,85 @@ def test_upper_central_series_builds_no_quotient(monkeypatch, name, orders):
     G = build_group(next(e.spec for e in catalog() if e.name == name))
     monkeypatch.setattr(lattice_mod, "quotient_group", _no_quotient)
     assert [t.order for t in upper_central_series(G)] == orders
+
+
+# -- conjugacy-class ids of lattice members ------------------------------------
+
+def _assert_classes_exact(G):
+    """Members share a class id exactly when they are conjugate in G, and
+    each id is the index of its class's first member."""
+    lat = all_subgroups(G)
+    assert len(lat.classes) == len(lat.subgroups), G.name
+    members: dict[int, set[int]] = {}
+    for s, c in zip(lat.subgroups, lat.classes):
+        members.setdefault(c, set()).add(s.bits)
+    for i, (s, c) in enumerate(zip(lat.subgroups, lat.classes)):
+        assert members[c] == set(lattice_mod._conjugate_bits(G, s.elements)), \
+            (G.name, i)
+        assert lat.subgroups[c].bits == min(members[c], key=lambda b: (b.bit_count(), b))
+
+
+def _fresh_derived(D):
+    """A new handle on the derived group D with an empty cache, so that its
+    lattice is read off its parent's and not reused."""
+    return Group(D.mul, D.name, gen_idx=D.gen_idx, origin=D.origin)
+
+
+def test_class_ids_exact_catalogwide():
+    for G in catalog_groups():
+        if G.n <= 128:
+            _assert_classes_exact(G)
+
+
+def test_class_ids_exact_on_derived_lattices(monkeypatch):
+    derived = []
+    for G in catalog_groups():
+        if G.n > 128:
+            continue
+        lat = all_subgroups(G)
+        derived += [quotient_group(G, N).target for N in lat.normal_members()]
+        if G.n <= 48:
+            derived += [subgroup_as_group(G, H)[0] for H in lat.subgroups]
+    for D in derived:
+        D = _fresh_derived(D)
+        with monkeypatch.context() as m:
+            m.setattr(lattice_mod, "closure_elements", _no_closure)
+            all_subgroups(D)
+        _assert_classes_exact(D)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_perms)
+def test_class_ids_exact_on_random_groups(spec):
+    degree, a, b = spec
+    G = group_from_permutations(degree, [a, b])
+    _assert_classes_exact(G)
+    lat = all_subgroups(G)
+    for N in lat.normal_members():
+        _assert_classes_exact(_fresh_derived(quotient_group(G, N).target))
+    for H in lat.subgroups:
+        _assert_classes_exact(_fresh_derived(subgroup_as_group(G, H)[0]))
+
+
+def test_class_ids_split_inside_a_subgroup(monkeypatch):
+    # S4 on generators (1 2 3 4), (1 3), (1 2)(3 4), (1 2); D8 = <(1 2 3 4), (1 3)>
+    G = group_from_permutations(4, [(2, 3, 4, 1), (3, 2, 1, 4), (2, 1, 4, 3),
+                                    (2, 1, 3, 4)])
+    a, b, c, _ = G.gen_idx
+    a2 = G.op(a, a)  # (1 3)(2 4), central in D8
+    lat = all_subgroups(G)
+    index = {s.bits: i for i, s in enumerate(lat.subgroups)}
+    x = closure_elements(G, [a2])
+    y = closure_elements(G, [c])
+    assert lat.classes[index[bits_of(x)]] == lat.classes[index[bits_of(y)]]
+    D8 = SubgroupSet(G, bits_of(closure_elements(G, [a, b])))
+    assert D8.order == 8 and D8.contains(a2) and D8.contains(c)
+    sub, el = subgroup_as_group(G, D8)
+    with monkeypatch.context() as m:
+        m.setattr(lattice_mod, "closure_elements", _no_closure)
+        sublat = all_subgroups(sub)  # read off the lattice of S4
+    subindex = {s.bits: i for i, s in enumerate(sublat.subgroups)}
+    xi = subindex[bits_of(np.searchsorted(el, x))]
+    yi = subindex[bits_of(np.searchsorted(el, y))]
+    assert sublat.classes[xi] != sublat.classes[yi]
+    _assert_classes_exact(sub)

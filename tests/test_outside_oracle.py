@@ -8,6 +8,8 @@ column `G.mul[:, g]` of the table.
 import pytest
 
 from formalab import catalog_groups, centre, derived_subgroup, is_nilpotent, is_soluble
+from formalab.groups import conjugacy_classes
+from formalab.lattice import derived_series
 
 pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
@@ -28,6 +30,17 @@ def test_catalog_invariants_match_sympy():
                 is_nilpotent(G))
         theirs = (P.order(), P.center().order(), P.derived_subgroup().order(),
                   P.is_solvable, P.is_nilpotent)
+        if ours != theirs:
+            mismatches.append((G.name, ours, theirs))
+    assert mismatches == []
+
+
+def test_catalog_class_counts_and_derived_lengths_match_sympy():
+    mismatches = []
+    for G in catalog_groups():
+        P = _regular_representation(G)
+        ours = (len(conjugacy_classes(G)), len(derived_series(G)))
+        theirs = (len(P.conjugacy_classes()), len(P.derived_series()))
         if ours != theirs:
             mismatches.append((G.name, ours, theirs))
     assert mismatches == []
