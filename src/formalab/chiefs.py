@@ -5,7 +5,9 @@ conjugacy class is computed once per group (`class_normal_closures`); a
 quotient G/N whose parent already has them reads its own off the parent's
 through `G.origin`, since the classes of G/N are the images of the classes
 of G.  The minimal normal subgroups over a normal Z are the minimal ones
-among the products Z<x^G>.
+among the products Z<x^G>.  The quotients G/C_G(H/K) that both routes
+below act on come from the memoised `quotient_group`, so each is one
+shared group; when C_G(H/K) = 1 it is G itself.
 
 Centrality is computed by two independent routes: the canonical-satellite
 test on G/C_G(H/K), and direct construction of (H/K) x| (G/C_G(H/K))
@@ -164,16 +166,11 @@ def chief_series_through(G: Group, N: SubgroupSet,
 
 # -- centrality -------------------------------------------------------------
 
-@memo("quot")
-def _quotient_by(G: Group, N: SubgroupSet):
-    return quotient_group(G, N)
-
-
 def is_f_central_satellite(G: Group, fac: ChiefFactor,
                            F: FormationSpec) -> bool:
     """Satellite route: G/C_G(H/K) in F(p) for every p dividing |H/K|."""
     C = section_centralizer(G, fac.H, fac.K)
-    A = _quotient_by(G, C).target
+    A = quotient_group(G, C).target
     return all(satellite_member(F, p, A) for p in fac.primes)
 
 
@@ -201,7 +198,7 @@ def section_extension(G: Group, H: SubgroupSet, K: SubgroupSet) -> Group:
     if order > ORDER_CAP:
         raise ClosureCapExceeded(
             f"section extension order {order} exceeds cap {ORDER_CAP}")
-    qa = _quotient_by(G, C)
+    qa = quotient_group(G, C)
     A = qa.target
     hgrp, hel = subgroup_as_group(G, H)
     qv = quotient_group(hgrp, translate_into(G, H, K))

@@ -70,6 +70,13 @@ def _parse_pi(text: str | None):
     return frozenset(_prime(v) for v in text.split(","))
 
 
+def _check_max_order(value: int | None) -> None:
+    """Refuse a --max-order below 1: it admits no catalog group, and a
+    suite with no verdicts would pass vacuously."""
+    if value is not None and value < 1:
+        raise PreconditionViolated(f"--max-order must be at least 1, got {value}")
+
+
 def _load_group(ref: str):
     if ref.endswith(".json"):
         return load_group_file(ref)
@@ -100,6 +107,7 @@ def _theorem_a_reports(args) -> list[SuiteReport]:
 
 
 def _cmd_verify(args) -> int:
+    _check_max_order(args.max_order)
     reports: list[SuiteReport] = []
     name = args.suite
     pi = _parse_pi(args.pi)
@@ -139,6 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    _check_max_order(args.max_order)
     F = parse_formation(args.formation)
     p = _prime(args.p)
     groups = suite_groups(args.max_order, args.soluble_only)

@@ -87,6 +87,9 @@ def memo(family: str):
 class Origin(NamedTuple):
     """Link from a quotient or subgroup-as-group back to the group it came from.
 
+    Only proper derived groups carry one: G/1 and G as its own subgroup are
+    G itself, with G's own origin or none.
+
     The derived group is either `parent`/`sub`, with `proj` mapping each
     parent element to its coset's index, or the subgroup `sub` of `parent`
     re-indexed so that its i-th element (ascending) is index i, with `proj`
@@ -103,7 +106,9 @@ class Group:
     """Finite group on indices 0..n-1 with a dense multiplication table.
 
     Immutable after construction; the identity is always index 0.  `origin`
-    is set on groups built by `quotient_group` and `subgroup_as_group`.
+    is set on the groups that `quotient_group` and `subgroup_as_group`
+    build, which are G/N for N > 1 and the subgroups H < G; they return G
+    itself for G/1 and for G as its own subgroup.
     """
 
     def __init__(self, mul, name: str, gen_idx: Sequence[int] | None = None,
@@ -350,25 +355,26 @@ def generated_subgroup(G: Group, seed: Iterable[int]) -> SubgroupSet:
 
 @memo("conj_classes")
 def conjugacy_classes(G: Group) -> list[np.ndarray]:
-    """Conjugacy classes of G, ordered by least element."""
-    seen = np.zeros(G.n, dtype=bool)
-    classes = []
-    for x in range(G.n):
-        if seen[x]:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in G.gen_idx:
-                z = G.conjugate(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        cls = np.array(sorted(orbit), dtype=np.intp)
-        seen[cls] = True
-        classes.append(cls)
-    return classes
+    """Conjugacy classes of G, ordered by least element, each ascending.
+
+    The classes are the orbits of the conjugation permutations
+    x -> g x g^-1 of the generators.  Each element's label starts as itself
+    and repeatedly takes the least label found one generator step away,
+    with pointer jumping to shorten chains; it settles on the least element
+    of its orbit.
+    """
+    perms = [G.mul[G.mul[g], G.inv[g]] for g in G.gen_idx]
+    least = np.arange(G.n)
+    while True:
+        new = least
+        for p in perms:
+            new = np.minimum(new, new[p])
+        new = new[new]
+        if np.array_equal(new, least):
+            break
+        least = new
+    members = np.argsort(least, kind="stable")
+    return np.split(members, np.flatnonzero(np.diff(least[members])) + 1)
 
 
 @memo("elem_orders")
@@ -589,11 +595,23 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
 
 
 def quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
-    """Quotient G/N; cosets are indexed by their least element, ascending."""
+    """Quotient G/N; cosets are indexed by their least element, ascending.
+
+    One QuotientMap per (G, N) is built and shared by every caller, so the
+    quotient's memoised results are computed once.  G/1 is G itself: with
+    singleton cosets the indexing gives G's own table and numbering.
+    """
     if N.parent is not G:
         raise ValueError("subgroup of a different parent")
+    return _quotient_group(G, N)
+
+
+@memo("quot")
+def _quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
+    if N.order == 1:
+        return QuotientMap(G, G, np.arange(G.n), N)
     reps_arr, proj = np.unique(G.mul[:, N.elements].min(axis=1), return_inverse=True)
     mul = proj[G.mul[np.ix_(reps_arr, reps_arr)]]
     gens = []

@@ -428,9 +428,12 @@ def subgroup_as_group(G: Group, H: SubgroupSet) -> tuple[Group, np.ndarray]:
     """Reindex a subgroup as a standalone Group.
 
     Returns (group, elems) where elems[i] is the parent index of the
-    subgroup's element i; sorted ascending so identity stays at 0.
+    subgroup's element i; sorted ascending so identity stays at 0.  G as
+    its own subgroup is G itself, since the re-indexed table is G's.
     """
     el = H.elements
+    if el.size == G.n:
+        return G, el
     sub_mul = np.searchsorted(el, G.mul[np.ix_(el, el)])
     sub = Group(sub_mul, f"{G.name}[{H.order}]",
                 provenance=f"subgroup of {G.name}",

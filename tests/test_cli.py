@@ -186,6 +186,31 @@ def test_verify_accepts_pi_all_everywhere(capsys):
     assert data[0]["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "baer", "--max-order", "0"],
+    ["verify", "all", "--max-order", "-3"],
+    ["verify", "example_1_2", "--max-order", "0"],
+    ["hunt-critical", "--formation", "nil", "--p", "3", "--max-order", "0"],
+    ["hunt-critical", "--formation", "nil", "--p", "2", "--max-order", "-1"],
+], ids=["verify-baer-0", "verify-all-negative", "verify-example-0", "hunt-0",
+        "hunt-negative"])
+def test_max_order_below_one_is_a_usage_error(capsys, argv):
+    # no catalog group has order below 1, so a suite would pass on no verdicts
+    assert main(argv) == EXIT_LOAD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-order must be at least 1" in captured.err
+
+
+def test_max_order_one_still_has_a_verdict(capsys):
+    code, data = run(capsys, "verify", "baer", "--max-order", "1")
+    assert code == EXIT_OK
+    assert [v["group"] for v in data[0]["verdicts"]] == ["C1"]
+    code, data = run(capsys, "hunt-critical", "--formation", "nil", "--p", "2",
+                     "--max-order", "1")
+    assert (code, data) == (EXIT_OK, [])
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"kind": "permutation", "degree": 3.7, "generators": ["(1 2 3)"]},
      "degree must be an integer"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import formalab
 from formalab import (
+    NA,
     NIL,
     SUP,
     ClosureCapExceeded,
@@ -34,6 +35,7 @@ from formalab import (
     fitting_subgroup,
     generated_subgroup,
     group_from_permutations,
+    int_f,
     is_member,
     is_soluble,
     matrix_module_semidirect,
@@ -45,6 +47,7 @@ from formalab import (
     semidirect_product,
     trivial_action,
     upper_central_series,
+    z_f,
     z_pi_f,
 )
 from formalab.chiefs import class_normal_closures
@@ -234,6 +237,58 @@ def test_quotient_projection_surjective(s4):
     assert set(qm.proj) == set(range(6))
 
 
+def test_quotient_is_built_once_per_normal_subgroup():
+    G = _fresh_s4()
+    D = derived_subgroup(G)
+    qm = quotient_group(G, D)
+    assert quotient_group(G, D) is qm
+    assert quotient_group(G, SubgroupSet(G, D.bits)) is qm  # keyed by bitmask
+    assert [k for k in G._cache if k[0] == "quot"] == [("quot", D.bits)]
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_group_itself(s4):
+    qm = quotient_group(s4, s4.trivial_subgroup())
+    assert qm.source is s4 and qm.target is s4
+    assert np.array_equal(qm.proj, np.arange(s4.n))
+    D = derived_subgroup(s4)
+    assert qm.image_of(D) == D and qm.preimage_of(D) == D
+
+
+def test_whole_group_as_its_own_subgroup_is_the_group_itself(s4):
+    sub, el = subgroup_as_group(s4, s4.full_subgroup())
+    assert sub is s4
+    assert np.array_equal(el, np.arange(s4.n))
+
+
+def test_non_normal_quotient_raises_on_every_call():
+    G = _fresh_s4()
+    H = generated_subgroup(G, [G.gen_idx[1]])
+    for _ in range(2):
+        with pytest.raises(NotNormal):
+            quotient_group(G, H)
+    assert not any(k[0] == "quot" for k in G._cache if isinstance(k, tuple))
+
+
+def test_quotient_by_a_foreign_subgroup_raises_after_a_cached_twin():
+    G, other = _fresh_s4(), _fresh_s4()
+    quotient_group(G, derived_subgroup(G))
+    with pytest.raises(ValueError, match="different parent"):
+        quotient_group(G, derived_subgroup(other))
+
+
+def test_shared_derived_groups_match_link_free_copies_catalogwide():
+    # G/1 and G as its own subgroup are G itself, so a quotient's or a
+    # subgroup's queries warm G's caches; a copy with none must agree
+    for G in formalab.catalog_groups():
+        if G.n > 48:
+            continue
+        E = Group(G.mul, G.name, gen_idx=G.gen_idx)
+        for F in (NIL, SUP, NA):
+            assert z_f(G, F).bits == z_f(E, F).bits, (G.name, F)
+            assert int_f(G, F).bits == int_f(E, F).bits, (G.name, F)
+            assert is_member(F, G) == is_member(F, E), (G.name, F)
+
+
 def test_iso_s3_vs_semidirect(s3):
     inv = semidirect_product(catalog_group("C3"), catalog_group("C2"),
                              np.array([[0, 1, 2], [0, 2, 1]]))
@@ -345,6 +400,44 @@ def test_permutation_table_matches_pairwise_loop(spec):
     G = group_from_permutations(degree, generators, cap=120)
     assert np.array_equal(G.mul, ref)
     assert list(G.gen_idx) == ref_gens
+
+
+def _conjugacy_classes_bfs(G):
+    """The per-element breadth-first search over generator conjugations,
+    as a reference for `conjugacy_classes`."""
+    seen = np.zeros(G.n, dtype=bool)
+    classes = []
+    for x in range(G.n):
+        if seen[x]:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for g in G.gen_idx:
+                z = G.conjugate(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        cls = sorted(orbit)
+        seen[cls] = True
+        classes.append(cls)
+    return classes
+
+
+def test_conjugacy_classes_match_bfs_catalogwide():
+    for G in formalab.catalog_groups():
+        got = conjugacy_classes(G)
+        assert [c.tolist() for c in got] == _conjugacy_classes_bfs(G), G.name
+        assert all(c.dtype == np.intp for c in got), G.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(1, d + 1)), max_size=3))))
+def test_conjugacy_classes_match_bfs_on_permutation_groups(spec):
+    degree, generators = spec
+    G = group_from_permutations(degree, generators)
+    assert [c.tolist() for c in conjugacy_classes(G)] == _conjugacy_classes_bfs(G)
 
 
 # -- memoisation ---------------------------------------------------------------

@@ -1,13 +1,22 @@
 """formalab's group invariants against sympy's, an oracle written elsewhere.
 
-Each catalog group becomes a sympy PermutationGroup on its right regular
-representation: generator g acts on the element indices by x -> x g, the
-column `G.mul[:, g]` of the table.
+Each catalog group, and each proper quotient of the small ones, becomes a
+sympy PermutationGroup on its right regular representation: generator g
+acts on the element indices by x -> x g, the column `G.mul[:, g]` of the
+table.
 """
 
 import pytest
 
-from formalab import catalog_groups, centre, derived_subgroup, is_nilpotent, is_soluble
+from formalab import (
+    catalog_groups,
+    centre,
+    derived_subgroup,
+    is_nilpotent,
+    is_soluble,
+    normal_subgroups,
+    quotient_group,
+)
 from formalab.groups import conjugacy_classes
 from formalab.lattice import derived_series
 
@@ -43,4 +52,27 @@ def test_catalog_class_counts_and_derived_lengths_match_sympy():
         theirs = (len(P.conjugacy_classes()), len(P.derived_series()))
         if ours != theirs:
             mismatches.append((G.name, ours, theirs))
+    assert mismatches == []
+
+
+def test_quotient_invariants_match_sympy():
+    # every G/N with 1 < N < G, for the catalog groups of order <= 48
+    mismatches = []
+    count = 0
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        for N in normal_subgroups(G):
+            if N.order in (1, G.n):
+                continue
+            Q = quotient_group(G, N).target
+            P = _regular_representation(Q)
+            ours = (Q.n, centre(Q).order, derived_subgroup(Q).order,
+                    len(conjugacy_classes(Q)))
+            theirs = (P.order(), P.center().order(), P.derived_subgroup().order(),
+                      len(P.conjugacy_classes()))
+            count += 1
+            if ours != theirs:
+                mismatches.append((G.name, N.order, ours, theirs))
+    assert count > 300
     assert mismatches == []
