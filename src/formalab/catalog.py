@@ -21,6 +21,7 @@ from .groups import (
     Group,
     SubgroupSet,
     direct_product,
+    extend_action,
     group_from_permutations,
     matrix_module_semidirect,
     semidirect_product,
@@ -124,7 +125,15 @@ def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
         N = _resolve(spec["normal"], resolve)
         H = _resolve(spec["actor"], resolve)
         gen_actions = [_json_int_array(a, "action") for a in spec["action"]]
-        return semidirect_product(N, H, _extend_action(H, gen_actions), name=name)
+        if len(gen_actions) != len(H.gen_idx):
+            raise PreconditionViolated(
+                f"need one action permutation per generator of {H.name}")
+        if any(a.shape != (N.n,) or not np.array_equal(np.sort(a), np.arange(N.n))
+               for a in gen_actions):
+            raise PreconditionViolated(
+                f"each generator action must be a permutation of 0..{N.n - 1}")
+        return semidirect_product(N, H, extend_action(H, gen_actions, N.n),
+                                  name=name)
     if kind == "matrix_module":
         H = _resolve(spec["actor"], resolve)
         p = _json_int(spec["p"], "p")
@@ -161,30 +170,6 @@ def _resolve(ref, resolve: Resolver) -> Group:
     if isinstance(ref, str):
         return resolve(ref)
     return build_group(ref, resolve)
-
-
-def _extend_action(H: Group, gen_actions) -> np.ndarray:
-    """Extend an action given on H's generators to all of H along its Cayley graph."""
-    if len(gen_actions) != len(H.gen_idx):
-        raise PreconditionViolated(
-            f"need one action permutation per generator of {H.name}")
-    nn = gen_actions[0].size if gen_actions else 1
-    if any(a.shape != (nn,) or not np.array_equal(np.sort(a), np.arange(nn))
-           for a in gen_actions):
-        raise PreconditionViolated(
-            f"each generator action must be a permutation of 0..{nn - 1}")
-    action = np.full((H.n, nn), -1, dtype=np.intp)
-    action[0] = np.arange(nn)
-    queue = [0]
-    while queue:
-        h = queue.pop(0)
-        for g, ag in zip(H.gen_idx, gen_actions):
-            nxt = int(H.mul[h, g])
-            if action[nxt, 0] < 0:
-                # (h.g) acts by h after g
-                action[nxt] = action[h][ag]
-                queue.append(nxt)
-    return action
 
 
 def load_group_file(path) -> Group:

@@ -49,21 +49,17 @@ def is_class_critical(G: Group, class_test: Callable[[Group], bool]) -> bool:
 
 
 def boundary_scan(F: FormationSpec, pi: Iterable[int],
-                  catalog: Sequence[Group],
-                  universe: Callable[[Group], bool] | None = None
-                  ) -> list[CriticalWitness]:
+                  catalog: Sequence[Group]) -> list[CriticalWitness]:
     """All catalog groups violating the pi-boundary condition for F.
 
-    A violation is a group in the universe that is F(p)-critical for some
-    p in pi but lies outside F.  An empty result is catalog-scale evidence
-    only, not a proof.
+    A violation is a group of `catalog` that is F(p)-critical for some p in
+    pi but lies outside F.  An empty result is catalog-scale evidence only,
+    not a proof.
     """
     if not F.has_satellite:
         raise NoSatellite(f"{F} has no local satellite table")
     witnesses = []
     for G in catalog:
-        if universe is not None and not universe(G):
-            continue
         if is_member(F, G):
             continue
         for p in sorted(set(pi)):

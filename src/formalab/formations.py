@@ -7,6 +7,11 @@ table entry against the semidirect-product definition of centrality; it
 builds each chief factor's extension (H/K) x| (G/C_G(H/K)) once, shares it
 across formations, and refuses one over the order cap before building it.
 
+One table, `_TAGS`, names the one parameter field each tag takes (p, pi,
+r, exp, or none).  Spec validation, CLI names and parsing all read it; a
+CLI name is the tag in lower case, with `:` and the parameter only when
+the tag takes one.
+
 Every menu formation is subgroup-closed (hereditary: H <= G in F implies H
 in F; Doerk & Hawkes, *Finite Soluble Groups*, IV.1).  The F-maximal search
 in `intersections` relies on it, and the tests check it on the catalog; a
@@ -47,13 +52,26 @@ from .lattice import (
 
 _SATELLITE_FREE = ("SylTower", "AExp")
 _UNSATURATED = ("AExp",)
-_TAGS = ("Triv", "All", "Sol", "Nil", "Sup", "pSup", "pNilp", "pDec",
-         "PiClosed", "GPi", "SPi", "AExp", "NA", "NilPow", "SylTower")
+# tag -> the one FormationSpec field it takes, or None
+_TAGS = {"Triv": None, "All": None, "Sol": None, "Nil": None, "Sup": None,
+         "pSup": "p", "pNilp": "p", "pDec": "p",
+         "PiClosed": "pi", "GPi": "pi", "SPi": "pi",
+         "AExp": "exp", "NA": None, "NilPow": "r", "SylTower": None}
+_BY_NAME = {tag.lower(): tag for tag in _TAGS}
+# field -> (what a value must be, the test of a value that is not None)
+_NEEDS = {
+    "p": (f"a prime parameter up to {ORDER_CAP}", is_small_prime),
+    "pi": (f"a nonempty set of primes up to {ORDER_CAP}",
+           lambda pi: bool(pi) and all(map(is_small_prime, pi))),
+    "r": ("a length r >= 0", lambda r: r >= 0),
+    "exp": ("a positive exponent", lambda e: e >= 1),
+}
 
 
 @dataclass(frozen=True)
 class FormationSpec:
-    """Tagged descriptor of one built-in, subgroup-closed formation."""
+    """Tagged descriptor of one built-in, subgroup-closed formation; every
+    field but the one its tag takes is None, so a formation has one spec."""
 
     tag: str
     p: int | None = None
@@ -64,18 +82,13 @@ class FormationSpec:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise PreconditionViolated(f"unknown formation tag {self.tag!r}")
-        if self.tag in ("pSup", "pNilp", "pDec") and (
-                self.p is None or not is_small_prime(self.p)):
-            raise PreconditionViolated(
-                f"{self.tag} needs a prime parameter up to {ORDER_CAP}")
-        if self.tag in ("PiClosed", "GPi", "SPi") and (
-                not self.pi or not all(is_small_prime(q) for q in self.pi)):
-            raise PreconditionViolated(
-                f"{self.tag} needs a nonempty set of primes up to {ORDER_CAP}")
-        if self.tag == "NilPow" and (self.r is None or self.r < 0):
-            raise PreconditionViolated("NilPow needs a length r >= 0")
-        if self.tag == "AExp" and (self.exp is None or self.exp < 1):
-            raise PreconditionViolated("AExp needs a positive exponent")
+        takes = _TAGS[self.tag]
+        for name, (needs, valid) in _NEEDS.items():
+            value = getattr(self, name)
+            if name != takes and value is not None:
+                raise PreconditionViolated(f"{self.tag} takes no {name}")
+            if name == takes and (value is None or not valid(value)):
+                raise PreconditionViolated(f"{self.tag} needs {needs}")
 
     @property
     def saturated(self) -> bool:
@@ -87,15 +100,12 @@ class FormationSpec:
 
     @property
     def cli_name(self) -> str:
-        if self.tag in ("pSup", "pNilp", "pDec"):
-            return f"{self.tag.lower()}:{self.p}"
-        if self.tag in ("PiClosed", "GPi", "SPi"):
-            return f"{self.tag.lower()}:{','.join(map(str, sorted(self.pi)))}"
-        if self.tag == "NilPow":
-            return f"nilpow:{self.r}"
-        if self.tag == "AExp":
-            return f"aexp:{self.exp}"
-        return self.tag.lower()
+        takes = _TAGS[self.tag]
+        if takes is None:
+            return self.tag.lower()
+        value = getattr(self, takes)
+        arg = ",".join(map(str, sorted(value))) if takes == "pi" else value
+        return f"{self.tag.lower()}:{arg}"
 
     def __str__(self) -> str:
         return self.cli_name
@@ -143,32 +153,26 @@ def nil_pow(r: int) -> FormationSpec:
 
 
 def parse_formation(text: str) -> FormationSpec:
-    """Parse CLI names like `sup`, `pnilp:3`, `piclosed:2,3`, `nilpow:2`."""
-    name, _, arg = text.strip().lower().partition(":")
-    simple = {"triv": TRIV, "all": ALL, "sol": SOL, "nil": NIL, "sup": SUP,
-              "na": NA, "syltower": SYLTOWER}
-    if name in simple:
-        return simple[name]
+    """Parse CLI names like `sup`, `pnilp:3`, `piclosed:2,3`, `nilpow:2`.
+
+    A name is a tag in lower case.  A parameterless name takes no `:`, and
+    a parameterised one needs its parameter after the `:`.
+    """
+    name, colon, arg = text.strip().lower().partition(":")
+    if name not in _BY_NAME:
+        raise PreconditionViolated(f"unknown formation {text!r}")
+    tag = _BY_NAME[name]
+    takes = _TAGS[tag]
+    if takes is None:
+        if colon:
+            raise PreconditionViolated(f"{name} takes no parameter, got {text!r}")
+        return FormationSpec(tag)
     try:
-        if name == "psup":
-            return p_sup(int(arg))
-        if name == "pnilp":
-            return p_nilp(int(arg))
-        if name == "pdec":
-            return p_dec(int(arg))
-        if name == "piclosed":
-            return pi_closed(int(v) for v in arg.split(","))
-        if name == "gpi":
-            return g_pi(int(v) for v in arg.split(","))
-        if name == "spi":
-            return s_pi(int(v) for v in arg.split(","))
-        if name == "nilpow":
-            return nil_pow(int(arg))
-        if name == "aexp":
-            return a_exp(int(arg))
+        value = (frozenset(int(v) for v in arg.split(",")) if takes == "pi"
+                 else int(arg))
     except ValueError as exc:
         raise PreconditionViolated(f"bad formation parameter in {text!r}") from exc
-    raise PreconditionViolated(f"unknown formation {text!r}")
+    return FormationSpec(tag, **{takes: value})
 
 
 # -- membership -------------------------------------------------------------

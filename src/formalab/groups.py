@@ -515,6 +515,27 @@ def trivial_action(N: Group, H: Group) -> np.ndarray:
     return np.tile(np.arange(N.n), (H.n, 1))
 
 
+def extend_action(H: Group, gen_perms: Sequence[np.ndarray],
+                  degree: int) -> np.ndarray:
+    """Action table of H on 0..degree-1 from one permutation per generator.
+
+    Row h·g is row h after g's permutation, filled along a spanning tree of
+    H's Cayley graph; `semidirect_product` checks the other edges, which
+    hold iff the table is an action.
+    """
+    action = np.full((H.n, degree), -1, dtype=np.intp)
+    action[0] = np.arange(degree)
+    queue = [0]
+    while queue:
+        h = queue.pop(0)
+        for g, ag in zip(H.gen_idx, gen_perms):
+            nxt = int(H.mul[h, g])
+            if action[nxt, 0] < 0:
+                action[nxt] = action[h][ag]
+                queue.append(nxt)
+    return action
+
+
 def elementary_abelian_vector_group(p: int, dim: int,
                                     name: str | None = None) -> Group:
     """(C_p)^dim with vectors indexed by base-p digit strings."""
@@ -552,10 +573,13 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
     """V ⋊ H for V = F_p^dim acted on by matrices given on H's generators.
 
     Returns the product group together with the designated copy of V.
-    The generator matrices are extended along H's Cayley graph and the
-    extension is checked against H's full multiplication table.
+    Each matrix is turned into the permutation of V's indices it induces,
+    and the product is the semidirect product by the action those extend
+    to.  A matrix acts faithfully on V and a linear map is additive, so the
+    product's automorphism and action checks on the permutations are
+    exactly the checks that the matrices are invertible and respect H's
+    relations; a failure of either raises RelationMismatch.
     """
-    mats = [np.asarray(m, dtype=np.intp) % p for m in mats]
     if len(mats) != len(H.gen_idx):
         raise RelationMismatch(
             f"need one matrix per generator of {H.name} "
@@ -563,33 +587,14 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
     n = p ** dim * H.n
     if n > cap:
         raise ClosureCapExceeded(f"matrix module extension order {n} exceeds cap {cap}")
-    ident = np.eye(dim, dtype=np.intp)
-    elem_mats: dict[int, np.ndarray] = {0: ident}
-    queue = [0]
-    while queue:
-        h = queue.pop(0)
-        for g, mg in zip(H.gen_idx, mats):
-            nxt = int(H.mul[h, g])
-            m = elem_mats[h] @ mg % p
-            if nxt in elem_mats:
-                if not np.array_equal(elem_mats[nxt], m):
-                    raise RelationMismatch(
-                        "generator matrices do not respect the group relations")
-            else:
-                elem_mats[nxt] = m
-                queue.append(nxt)
-    if len(elem_mats) != H.n:
-        raise RelationMismatch("generators do not reach the whole group")
-    for h1 in range(H.n):
-        for h2 in H.gen_idx:
-            if not np.array_equal(
-                    elem_mats[H.mul[h1, h2]],
-                    elem_mats[h1] @ elem_mats[h2] % p):
-                raise RelationMismatch("matrix extension is not a homomorphism")
     V = elementary_abelian_vector_group(p, dim)
-    action = np.stack([_vector_index_perm(p, dim, elem_mats[h]) for h in range(H.n)])
-    G = semidirect_product(V, H, action, name=name or f"F{p}^{dim} : {H.name}",
-                           cap=cap)
+    perms = [_vector_index_perm(p, dim, np.asarray(m, dtype=np.intp)) for m in mats]
+    try:
+        G = semidirect_product(V, H, extend_action(H, perms, V.n),
+                               name=name or f"F{p}^{dim} : {H.name}", cap=cap)
+    except (NotAutomorphism, NotActionHomomorphism) as exc:
+        raise RelationMismatch(
+            f"generator matrices do not give an action of {H.name}: {exc}") from exc
     vsub = SubgroupSet(G, bits_of(np.arange(V.n) * H.n), check=False)
     return G, vsub
 

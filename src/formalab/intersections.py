@@ -128,12 +128,14 @@ def int_star_f(G: Group, F: FormationSpec) -> SubgroupSet:
 
 
 def f_max_report(G: Group, F: FormationSpec) -> FMaxReport:
+    """The F-maximal subgroups of G with their K-F-subnormality flags, and
+    Int_F(G) from `int_f`, under its normality postcondition."""
     fmax = tuple(f_maximal_subgroups(G, F))
     flags = tuple(_knormal_flags(G, fmax, F))
     return FMaxReport(
         formation=F,
         f_maximal=fmax,
         knormal_flags=flags,
-        int_f=intersection(G, fmax),
+        int_f=int_f(G, F),
         int_star=intersection(G, [s for s, fl in zip(fmax, flags) if not fl]),
     )

@@ -60,6 +60,25 @@ def test_analyze_bad_formation(capsys):
     assert main(["analyze", "S4", "--formation", "wibble"]) == EXIT_LOAD
 
 
+def test_analyze_refuses_a_parameter_on_a_parameterless_formation(capsys):
+    # sup:3 used to run sup, so a mistyped psup:3 ran another formation
+    assert main(["analyze", "S4", "--formation", "sup:3"]) == EXIT_LOAD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes no parameter" in captured.err
+    code, data = run(capsys, "analyze", "S4", "--formation", "psup:3")
+    assert code == EXIT_OK and data["formation"] == "psup:3"
+
+
+def test_analyze_semidirect_spec_over_trivial_actor(capsys, tmp_path):
+    # the action degree is |N|, not guessed from an empty action list
+    path = tmp_path / "c3c1.json"
+    path.write_text(json.dumps({"name": "C3:C1", "kind": "semidirect",
+                                "normal": "C3", "actor": "C1", "action": []}))
+    code, data = run(capsys, "analyze", str(path), "--formation", "nil")
+    assert code == EXIT_OK and data["order"] == 3
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "no_such_file.json"]) == EXIT_LOAD
 

@@ -66,12 +66,6 @@ def test_scan_piclosed_finds_minimal_non_closed():
     assert "S3" in names
 
 
-def test_scan_universe_filter():
-    cat = [catalog_group(n) for n in ("A4", "A5")]
-    out = boundary_scan(SUP, {3}, cat, universe=lambda G: G.n < 20)
-    assert {w.group for w in out} == {"A4"}
-
-
 def test_scan_requires_satellite():
     with pytest.raises(NoSatellite):
         boundary_scan(SYLTOWER, {2}, [catalog_group("S3")])

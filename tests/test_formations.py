@@ -28,6 +28,7 @@ from formalab import (
     satellite_member,
 )
 from formalab.errors import PreconditionViolated
+from formalab.formations import _SATELLITE_FREE, _TAGS
 from formalab.groups import quotient_group
 from formalab.lattice import all_subgroups, frattini_subgroup, subgroup_as_group
 
@@ -41,6 +42,51 @@ def test_parse_round_trip():
     assert parse_formation("piclosed:2,3") == pi_closed({2, 3})
     assert parse_formation("spi:2,3") == s_pi({2, 3})
     assert parse_formation("aexp:6") == a_exp(6)
+
+
+# one valid value of each parameter field
+_FIELD_VALUE = {"p": 2, "pi": frozenset({2, 3}), "r": 2, "exp": 6}
+
+
+def _representative(tag):
+    takes = _TAGS[tag]
+    if takes is None:
+        return FormationSpec(tag)
+    return FormationSpec(tag, **{takes: _FIELD_VALUE[takes]})
+
+
+@pytest.mark.parametrize("tag", list(_TAGS))
+def test_every_tag_round_trips(tag):
+    F = _representative(tag)
+    assert F.cli_name.partition(":")[0] == tag.lower()
+    assert parse_formation(F.cli_name) == F
+    assert parse_formation(F.cli_name.upper()) == F
+
+
+@pytest.mark.parametrize("tag", list(_TAGS))
+def test_every_tag_has_a_membership_route(s4, tag):
+    F = _representative(tag)
+    assert is_member(F, s4) in (True, False)
+    if tag in _SATELLITE_FREE:
+        with pytest.raises(NoSatellite):
+            satellite_member(F, 2, s4)
+    else:
+        assert satellite_member(F, 2, s4) in (True, False)
+
+
+@pytest.mark.parametrize("name", ["sup:3", "nil:7", "na:2", "syltower:9", "nil:"])
+def test_parameterless_name_refuses_a_parameter(name):
+    with pytest.raises(PreconditionViolated, match="takes no parameter"):
+        parse_formation(name)
+
+
+@pytest.mark.parametrize("tag, fields", [
+    ("Nil", {"p": 3}), ("pNilp", {"p": 2, "r": 1}), ("Sup", {"pi": frozenset({2})}),
+    ("NilPow", {"r": 1, "exp": 2}),
+], ids=["nil-p", "pnilp-r", "sup-pi", "nilpow-exp"])
+def test_spec_refuses_a_field_its_tag_does_not_take(tag, fields):
+    with pytest.raises(PreconditionViolated, match="takes no"):
+        FormationSpec(tag, **fields)
 
 
 def test_parse_rejects_garbage():

@@ -210,6 +210,24 @@ def test_matrix_module_relation_check(a4):
                                         np.eye(2, dtype=int)], a4)
 
 
+def test_matrix_module_singular_matrix(a4):
+    # a singular matrix induces no bijection of V, so it gives no action
+    singular = [[1, 0], [0, 0]]
+    with pytest.raises(RelationMismatch):
+        matrix_module_semidirect(3, 2, [singular, np.eye(2, dtype=int)], a4)
+    with pytest.raises(RelationMismatch):
+        matrix_module_semidirect(2, 1, [[[0]]], catalog_group("C2"))
+
+
+def test_semidirect_and_matrix_module_over_trivial_actor():
+    c1, c3 = catalog_group("C1"), catalog_group("C3")
+    G = build_group({"kind": "semidirect", "normal": "C3", "actor": "C1",
+                     "action": []})
+    assert are_isomorphic(G, c3)
+    M, V = matrix_module_semidirect(3, 1, [], c1)
+    assert are_isomorphic(M, c3) and V.order == 3
+
+
 def test_elementary_abelian():
     E = elementary_abelian_vector_group(3, 2)
     assert E.n == 9

@@ -22,7 +22,9 @@ from formalab import (
     p_sup,
     parse_formation,
 )
-from formalab.groups import group_from_permutations, is_normal
+import formalab.intersections as intersections_mod
+from formalab.errors import FormalabError
+from formalab.groups import generated_subgroup, group_from_permutations, is_normal
 from formalab.intersections import _in_formation
 from formalab.lattice import (
     all_subgroups,
@@ -175,3 +177,14 @@ def test_knormal_flags_match_per_member_test_catalogwide(F):
         assert list(rep.knormal_flags) == want, G.name
         star = intersection(G, [s for s, fl in zip(rep.f_maximal, want) if not fl])
         assert int_star_f(G, F).bits == rep.int_star.bits == star.bits, G.name
+
+
+def test_f_max_report_checks_that_int_f_is_normal(s4, monkeypatch):
+    # f_max_report reads Int_F from int_f, so a non-normal intersection
+    # fails the same postcondition on both paths
+    transposition = generated_subgroup(s4, [s4.gen_idx[1]])
+    assert not is_normal(s4, transposition)
+    monkeypatch.setattr(intersections_mod, "f_maximal_subgroups",
+                        lambda G, F: [transposition])
+    with pytest.raises(FormalabError, match="Int_F"):
+        f_max_report(s4, NIL)
