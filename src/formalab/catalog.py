@@ -104,6 +104,8 @@ def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
     except TypeError as exc:  # e.g. int(None), or iterating over a number
         raise PreconditionViolated(
             f"{kind} spec {name!r} has a value of the wrong type: {exc}") from exc
+    except RecursionError as exc:  # the innermost spec turns it into a load error
+        raise PreconditionViolated(f"{kind} spec {name!r} is nested too deeply") from exc
 
 
 def _build_kind(kind: str, spec: dict, name, resolve: Resolver) -> Group:
@@ -173,8 +175,10 @@ def _resolve(ref, resolve: Resolver) -> Group:
 
 
 def load_group_file(path) -> Group:
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    return build_group(spec)
+    try:
+        return build_group(json.loads(Path(path).read_text(encoding="utf-8")))
+    except RecursionError as exc:  # from json.loads
+        raise PreconditionViolated(f"{path}: JSON nested too deeply") from exc
 
 
 # -- construction helpers for catalog specs ---------------------------------

@@ -1,11 +1,12 @@
 """Chief series, F-centrality of chief factors, and the hypercentre Z_piF.
 
-Normal structure needs no subgroup lattice.  The normal closure of each
-conjugacy class is computed once per group (`class_normal_closures`); a
-quotient G/N whose parent already has them reads its own off the parent's
-through `G.origin`, since the classes of G/N are the images of the classes
-of G.  The minimal normal subgroups over a normal Z are the minimal ones
-among the products Z<x^G>.  The quotients G/C_G(H/K) that both routes
+Normal structure needs no subgroup lattice.  It is read off the normal
+closures of the conjugacy classes, which `groups.class_normal_closures`
+computes once per group (a quotient reads its own off its parent's).  The
+minimal normal subgroups over a normal Z are the minimal ones among the
+products Z<x^G>, and the hypercentre absorbs central minimal normal
+subgroups as their product; both products are `groups.normal_product`.
+The quotients G/C_G(H/K) that both routes
 below act on come from the memoised `quotient_group`, so each is one
 shared group; when C_G(H/K) = 1 it is G itself.
 
@@ -30,10 +31,11 @@ from .groups import (
     Group,
     SubgroupSet,
     bits_of,
+    class_normal_closures,
     closure_elements,
-    conjugacy_classes,
     is_normal,
     memo,
+    normal_product,
     quotient_group,
     semidirect_product,
 )
@@ -79,40 +81,6 @@ class ChiefSeries:
                      for k, h in zip(self.terms, self.terms[1:]))
 
 
-@memo("class_ncl")
-def class_normal_closures(G: Group) -> list[SubgroupSet]:
-    """Normal closure <x^G> of each conjugacy class, in `conjugacy_classes`
-    order; classes with the same closure share one SubgroupSet.
-
-    A quotient G = P/N whose parent P has its closures cached reads them off
-    P's: the classes of P/N are the images of the classes of P, and
-    <proj(x)^(P/N)> = proj(<x^P>).  The parent's closures are never computed
-    just to derive from them; any other group closes each class itself.
-    """
-    found = _pulled_back_closures(G)
-    if found is None:
-        found = [bits_of(closure_elements(G, cls)) for cls in conjugacy_classes(G)]
-    shared = {b: SubgroupSet(G, b, check=False) for b in found}
-    return [shared[b] for b in found]
-
-
-def _pulled_back_closures(G: Group) -> list[int] | None:
-    """Class-closure bitmasks of a quotient read off its parent's cached
-    closures, in order of each class's least element, or None when G is
-    not a quotient or its parent has no closures cached."""
-    if G.origin is None or G.origin.proj is None:
-        return None
-    parent, _, proj = G.origin
-    ncls = parent._cache.get("class_ncl")
-    if ncls is None:
-        return None
-    # each class of G is the image of a parent class; key it by its least element
-    by_least: dict[int, SubgroupSet] = {}
-    for cls, ncl in zip(conjugacy_classes(parent), ncls):
-        by_least.setdefault(int(proj[cls].min()), ncl)
-    return [bits_of(proj[by_least[x].elements]) for x in sorted(by_least)]
-
-
 @memo("min_norm_over")
 def minimal_normals_over(G: Group, Z: SubgroupSet) -> list[SubgroupSet]:
     """Lifts of the minimal normal subgroups of G/Z, in canonical order.
@@ -124,14 +92,9 @@ def minimal_normals_over(G: Group, Z: SubgroupSet) -> list[SubgroupSet]:
     """
     cands: dict[int, SubgroupSet] = {}
     for ncl in {s.bits: s for s in class_normal_closures(G)}.values():
-        if ncl.issubset(Z):
-            continue
-        if Z.order == 1:
-            cands[ncl.bits] = ncl
-            continue
-        b = bits_of(G.mul[Z.elements[:, None], ncl.elements])
-        if b not in cands:
-            cands[b] = SubgroupSet(G, b, check=False)
+        if not ncl.issubset(Z):
+            N = normal_product(G, (Z, ncl))
+            cands.setdefault(N.bits, N)
     mins = minimal_members(cands.values())
     mins.sort(key=lambda s: (s.order, s.bits))
     return mins
@@ -256,11 +219,7 @@ def z_pi_f(G: Group, F: FormationSpec, pi=None, absorb: str = "all") -> Subgroup
                     break
         if not passing:
             break
-        # every N contains Z, and the join of normal subgroups is their product
-        Z = passing[0]
-        for N in passing[1:]:
-            Z = SubgroupSet(G, bits_of(G.mul[Z.elements[:, None], N.elements]),
-                            check=False)
+        Z = normal_product(G, passing)
     return Z
 
 

@@ -5,6 +5,10 @@ fixed at index 0.  All downstream structures (subgroups, lattices, chief
 series) are bitmasks over 0..n-1, so everything here is exact integer
 arithmetic; numpy is used only to vectorise table lookups.
 
+Normal structure is read off the conjugacy data kept here: conjugacy
+classes and their normal closures, the product of normal subgroups, and
+the one conjugation kernel `conjugate_rows` (g K g^-1 for a list of g).
+
 Per-group results (lattices, distinguished subgroups, memberships, ...)
 are memoised on the group by the `memo` decorator; a catalog group's
 `designated_module` is the one cache entry written by hand.
@@ -377,6 +381,63 @@ def conjugacy_classes(G: Group) -> list[np.ndarray]:
     return np.split(members, np.flatnonzero(np.diff(least[members])) + 1)
 
 
+@memo("class_ncl")
+def class_normal_closures(G: Group) -> list[SubgroupSet]:
+    """Normal closure <x^G> of each conjugacy class, in `conjugacy_classes`
+    order; classes with the same closure share one SubgroupSet.
+
+    A quotient G = P/N whose parent P has its closures cached reads them off
+    P's: the classes of P/N are the images of the classes of P, and
+    <proj(x)^(P/N)> = proj(<x^P>).  The parent's closures are never computed
+    just to derive from them; any other group closes each class itself.
+    """
+    found = _pulled_back_closures(G)
+    if found is None:
+        found = [bits_of(closure_elements(G, cls)) for cls in conjugacy_classes(G)]
+    shared = {b: SubgroupSet(G, b, check=False) for b in found}
+    return [shared[b] for b in found]
+
+
+def _pulled_back_closures(G: Group) -> list[int] | None:
+    """Class-closure bitmasks of a quotient read off its parent's cached
+    closures, in order of each class's least element, or None when G is
+    not a quotient or its parent has no closures cached."""
+    if G.origin is None or G.origin.proj is None:
+        return None
+    parent, _, proj = G.origin
+    ncls = parent._cache.get("class_ncl")
+    if ncls is None:
+        return None
+    # each class of G is the image of a parent class; key it by its least element
+    by_least: dict[int, SubgroupSet] = {}
+    for cls, ncl in zip(conjugacy_classes(parent), ncls):
+        by_least.setdefault(int(proj[cls].min()), ncl)
+    return [bits_of(proj[by_least[x].elements]) for x in sorted(by_least)]
+
+
+def normal_product(G: Group, subs: Iterable[SubgroupSet]) -> SubgroupSet:
+    """Join of normal subgroups of G as their set product; a factor that
+    contains the product so far replaces it, one inside it is skipped."""
+    acc = G.trivial_subgroup()
+    for s in subs:
+        if acc.issubset(s):
+            acc = s
+        elif not s.issubset(acc):
+            acc = SubgroupSet(G, bits_of(G.mul[acc.elements[:, None], s.elements]),
+                              check=False)
+    return acc
+
+
+def conjugate_rows(G: Group, kel: np.ndarray, gs: Iterable[int]) -> np.ndarray:
+    """Boolean rows, one per element g of `gs`, each the membership mask
+    of the conjugate g K g^-1 of the element set `kel`."""
+    gs = _index_array(gs)
+    rows = np.zeros((gs.size, G.n), dtype=bool)
+    rows[np.arange(gs.size)[:, None],
+         G.mul[G.mul[gs[:, None], kel], G.inv[gs][:, None]]] = True
+    return rows
+
+
 @memo("elem_orders")
 def element_orders(G: Group) -> np.ndarray:
     orders = np.zeros(G.n, dtype=np.intp)
@@ -450,12 +511,11 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
                  _associative=True)
 
 
-def direct_product(A: Group, B: Group, name: str | None = None,
-                   cap: int = ORDER_CAP) -> Group:
+def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
     """Componentwise product; element (a, b) has index a*|B| + b."""
     n = A.n * B.n
-    if n > cap:
-        raise ClosureCapExceeded(f"direct product order {n} exceeds cap {cap}")
+    if n > ORDER_CAP:
+        raise ClosureCapExceeded(f"direct product order {n} exceeds cap {ORDER_CAP}")
     mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :]).reshape(n, n)
     gens = [g * B.n for g in A.gen_idx] + list(B.gen_idx)
     return Group(mul, name or f"{A.name} x {B.name}", gen_idx=gens,
@@ -463,8 +523,7 @@ def direct_product(A: Group, B: Group, name: str | None = None,
                  _associative=True)
 
 
-def semidirect_product(N: Group, H: Group, action, name: str | None = None,
-                       cap: int = ORDER_CAP) -> Group:
+def semidirect_product(N: Group, H: Group, action, name: str | None = None) -> Group:
     """N ⋊ H for a left action of H on N by automorphisms.
 
     `action[h]` is the permutation of N's indices giving the automorphism
@@ -500,8 +559,9 @@ def semidirect_product(N: Group, H: Group, action, name: str | None = None,
             h1 = lo + int(np.argmin(mult))
             raise NotActionHomomorphism(f"action is not multiplicative at {h1}")
     n = N.n * H.n
-    if n > cap:
-        raise ClosureCapExceeded(f"semidirect product order {n} exceeds cap {cap}")
+    if n > ORDER_CAP:
+        raise ClosureCapExceeded(
+            f"semidirect product order {n} exceeds cap {ORDER_CAP}")
     # entry [(n1, h1), (n2, h2)] is (n1 · h1▷n2, h1 h2)
     mul = (N.mul[:, action][:, :, :, None] * H.n
            + H.mul[None, :, None, :]).reshape(n, n)
@@ -568,8 +628,7 @@ def _vector_index_perm(p: int, dim: int, mat: np.ndarray) -> np.ndarray:
 
 
 def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
-                             name: str | None = None,
-                             cap: int = ORDER_CAP) -> tuple[Group, SubgroupSet]:
+                             name: str | None = None) -> tuple[Group, SubgroupSet]:
     """V ⋊ H for V = F_p^dim acted on by matrices given on H's generators.
 
     Returns the product group together with the designated copy of V.
@@ -585,13 +644,14 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
             f"need one matrix per generator of {H.name} "
             f"({len(H.gen_idx)}), got {len(mats)}")
     n = p ** dim * H.n
-    if n > cap:
-        raise ClosureCapExceeded(f"matrix module extension order {n} exceeds cap {cap}")
+    if n > ORDER_CAP:
+        raise ClosureCapExceeded(
+            f"matrix module extension order {n} exceeds cap {ORDER_CAP}")
     V = elementary_abelian_vector_group(p, dim)
     perms = [_vector_index_perm(p, dim, np.asarray(m, dtype=np.intp)) for m in mats]
     try:
         G = semidirect_product(V, H, extend_action(H, perms, V.n),
-                               name=name or f"F{p}^{dim} : {H.name}", cap=cap)
+                               name=name or f"F{p}^{dim} : {H.name}")
     except (NotAutomorphism, NotActionHomomorphism) as exc:
         raise RelationMismatch(
             f"generator matrices do not give an action of {H.name}: {exc}") from exc
@@ -631,14 +691,9 @@ def _quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
 
 
 def is_normal(G: Group, H: SubgroupSet) -> bool:
-    """Conjugation-invariance under G's generators."""
+    """Conjugation-invariance: each conjugate of H by a generator contains H."""
     el = H.elements
-    mask = np.zeros(G.n, dtype=bool)
-    mask[el] = True
-    for g in G.gen_idx:
-        if not mask[G.mul[G.mul[g, el], G.inv[g]]].all():
-            return False
-    return True
+    return bool(conjugate_rows(G, el, G.gen_idx)[:, el].all())
 
 
 # -- isomorphism testing ----------------------------------------------------
@@ -673,12 +728,12 @@ def _extend_hom(A: Group, B: Group, gens: Sequence[int],
     return phi
 
 
-def are_isomorphic(A: Group, B: Group, cap: int = ISO_CAP) -> bool:
+def are_isomorphic(A: Group, B: Group) -> bool:
     """Generator-image backtracking with element-order pruning."""
     if A.n != B.n:
         return False
-    if A.n > cap:
-        raise IsoCapExceeded(f"order {A.n} exceeds isomorphism cap {cap}")
+    if A.n > ISO_CAP:
+        raise IsoCapExceeded(f"order {A.n} exceeds isomorphism cap {ISO_CAP}")
     if _iso_invariants(A) != _iso_invariants(B):
         return False
     gens = list(A.gen_idx)

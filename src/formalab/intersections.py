@@ -122,9 +122,7 @@ def _knormal_flags(G: Group, members, F: FormationSpec) -> list[bool]:
 
 def int_star_f(G: Group, F: FormationSpec) -> SubgroupSet:
     """Intersection of the non-K-F-subnormal F-maximal subgroups."""
-    fmax = f_maximal_subgroups(G, F)
-    flags = _knormal_flags(G, fmax, F)
-    return intersection(G, [s for s, fl in zip(fmax, flags) if not fl])
+    return f_max_report(G, F).int_star
 
 
 def f_max_report(G: Group, F: FormationSpec) -> FMaxReport:

@@ -5,12 +5,14 @@ prime-power order) up to conjugacy: one member of each conjugacy class of
 subgroups is joined with each zuppo it does not contain, and a new join
 brings in its whole class; everything is deduplicated by canonical bitmask.
 A quotient or subgroup-as-group whose parent already has its lattice cached
-takes its lattice, and a quotient also its normality flags, from the
-parent's instead (correspondence theorem), with the same members in the
-same order.  Each lattice also records which members are conjugate, so
-that a question invariant under conjugation is asked once per class.  The
-element-level helpers (derived series, centre, O_p, ...) deliberately do
-not require a lattice so that formation membership tests stay cheap.
+takes its lattice from the parent's instead (correspondence theorem), with
+the same members in the same order.  A lattice is its members and their
+conjugacy-class ids: a question invariant under conjugation is asked once
+per class, and a member is normal exactly when it is alone in its class.
+The element-level helpers (derived series, centre, O_p, ...) deliberately
+do not require a lattice so that formation membership tests stay cheap;
+O_pi, the Fitting subgroup and the socle are products of normal subgroups
+built from the class normal closures of `groups`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ from .groups import (
     QuotientMap,
     SubgroupSet,
     bits_of,
+    class_normal_closures,
     closure_elements,
-    conjugacy_classes,
+    conjugate_rows,
     elems_of,
     element_orders,
     is_normal,
     memo,
+    normal_product,
     quotient_group,
 )
 
@@ -82,7 +86,7 @@ def pi_part(n: int, pi) -> int:
 
 class Lattice:
     """All subgroups of a group, in increasing-order-then-bitmask order,
-    with parallel lists of normality flags and conjugacy-class ids.
+    with a parallel list of conjugacy-class ids.
 
     `classes[i] == classes[j]` exactly when members i and j are conjugate
     in the group, and each id is the index of its class's first member.
@@ -92,24 +96,23 @@ class Lattice:
     or more members inside it into its conjugacy classes there.
     """
 
-    def __init__(self, parent: Group, subgroups: list[SubgroupSet],
-                 normal_flags: list[bool], classes: list[int]):
-        self.parent = parent
+    def __init__(self, subgroups: list[SubgroupSet], classes: list[int]):
         self.subgroups = subgroups
-        self.normal_flags = normal_flags
         self.classes = classes
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
     def normal_members(self) -> list[SubgroupSet]:
-        return [s for s, f in zip(self.subgroups, self.normal_flags) if f]
+        """The members alone in their conjugacy class, in lattice order."""
+        size = Counter(self.classes)
+        return [s for s, c in zip(self.subgroups, self.classes) if size[c] == 1]
 
 
 @memo("lattice")
 def all_subgroups(G: Group) -> Lattice:
     """Complete subgroup lattice of G, at most SUBGROUP_CAP members, with
-    the normality flag and conjugacy-class id of each member.
+    the conjugacy-class id of each member.
 
     A derived group (`G.origin` set) whose parent's lattice is cached gets
     its lattice, and from it the class ids, from the parent's; any other
@@ -117,27 +120,23 @@ def all_subgroups(G: Group) -> Lattice:
     """
     found = _corresponding_bits(G)
     if found is None:
-        found = [(b, None, key) for b, key in _enumerate_bits(G).items()]
+        found = list(_enumerate_bits(G).items())
     elif len(found) > SUBGROUP_CAP:
         raise SubgroupCountCapExceeded(
             f"{G.name} has more than {SUBGROUP_CAP} subgroups")
-    found.sort(key=lambda bfk: (bfk[0].bit_count(), bfk[0]))
-    subs = [SubgroupSet(G, b, check=False) for b, _, _ in found]
-    flags = [is_normal(G, s) if f is None else f
-             for s, (_, f, _) in zip(subs, found)]
+    found.sort(key=lambda bk: (bk[0].bit_count(), bk[0]))
     first: dict[int, int] = {}
-    classes = [first.setdefault(key, i) for i, (_, _, key) in enumerate(found)]
-    return Lattice(G, subs, flags, classes)
+    classes = [first.setdefault(key, i) for i, (_, key) in enumerate(found)]
+    return Lattice([SubgroupSet(G, b, check=False) for b, _ in found], classes)
 
 
-def _corresponding_bits(G: Group) -> list[tuple[int, bool | None, int]] | None:
+def _corresponding_bits(G: Group) -> list[tuple[int, int]] | None:
     """Subgroup bitmasks of a derived group read off its parent's cached
     lattice, or None when G has no parent or the parent has no lattice yet
     (a parent lattice is never built just to derive from it).
 
-    Each bitmask comes with its normal flag when the parent's lattice fixes
-    it (X/N is normal in G/N iff X is normal in G), else with None, and
-    with a class key shared exactly by the members conjugate in G.
+    Each bitmask comes with a class key shared exactly by the members
+    conjugate in G.
     """
     if G.origin is None:
         return None
@@ -149,11 +148,10 @@ def _corresponding_bits(G: Group) -> list[tuple[int, bool | None, int]] | None:
         el = sub.elements
         inside = [(bits_of(np.searchsorted(el, s.elements)), c)
                   for s, c in zip(lat.subgroups, lat.classes) if s.issubset(sub)]
-        return [(b, None, key) for b, key in _split_classes(G, inside)]
+        return _split_classes(G, inside)
     # a quotient keeps the parent's classes
-    return [(bits_of(proj[s.elements]), f, c)
-            for s, f, c in zip(lat.subgroups, lat.normal_flags, lat.classes)
-            if sub.issubset(s)]
+    return [(bits_of(proj[s.elements]), c)
+            for s, c in zip(lat.subgroups, lat.classes) if sub.issubset(s)]
 
 
 def _split_classes(G: Group, members: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -222,8 +220,7 @@ def _enumerate_bits(G: Group) -> dict[int, int]:
 
 def _conjugate_bits(G: Group, kel: np.ndarray) -> list[int]:
     """Bitmasks of the distinct conjugates of the subgroup with elements `kel`."""
-    rows = np.zeros((G.n, G.n), dtype=bool)
-    rows[np.arange(G.n)[:, None], G.mul[G.mul[:, kel], G.inv[:, None]]] = True
+    rows = conjugate_rows(G, kel, np.arange(G.n))
     packed = np.unique(np.packbits(rows, axis=1, bitorder="little"), axis=0)
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
@@ -276,14 +273,8 @@ def core(G: Group, H: SubgroupSet, within: SubgroupSet | None = None) -> Subgrou
 
 @memo("core")
 def _core(G: Group, H: SubgroupSet, within: SubgroupSet) -> SubgroupSet:
-    hel = H.elements
-    cur = H.bits
-    for g in within.elements:
-        conj = G.mul[G.mul[g, hel], G.inv[g]]
-        cur &= bits_of(conj)
-        if cur == 1:
-            break
-    return SubgroupSet(G, cur, check=False)
+    rows = conjugate_rows(G, H.elements, within.elements)
+    return SubgroupSet(G, bits_of(np.flatnonzero(rows.all(axis=0))), check=False)
 
 
 @memo("sec_cent")
@@ -315,9 +306,7 @@ def derived_series(G: Group) -> list[SubgroupSet]:
     cur = derived_subgroup(G)
     while cur.bits != series[-1].bits:
         series.append(cur)
-        sub, el = subgroup_as_group(G, cur)
-        dsub = derived_subgroup(sub)
-        cur = SubgroupSet(G, bits_of(el[dsub.elements]), check=False)
+        cur = translate_out(G, cur, derived_subgroup(subgroup_as_group(G, cur)[0]))
     return series
 
 
@@ -374,26 +363,16 @@ def is_abelian(G: Group) -> bool:
 
 
 def o_pi(G: Group, pi) -> SubgroupSet:
-    """Largest normal pi-subgroup: product of pi-group normal closures."""
+    """Largest normal pi-subgroup: the product of the class normal closures
+    that are pi-groups, since x lies in it iff <x^G> is a pi-group."""
     return _o_pi(G, frozenset(pi))
 
 
 @memo("o_pi")
 def _o_pi(G: Group, pi: frozenset[int]) -> SubgroupSet:
-    orders = element_orders(G)
-    acc = np.array([0], dtype=np.intp)
-    acc_bits = 1
-    for cls in conjugacy_classes(G):
-        x = int(cls[0])
-        if x == 0 or (acc_bits >> x) & 1:
-            continue
-        if any(p not in pi for p in prime_factors(int(orders[x]))):
-            continue
-        nc = closure_elements(G, cls)
-        if all(p in pi for p in prime_factors(nc.size)):
-            acc = closure_elements(G, np.concatenate([acc, nc]))
-            acc_bits = bits_of(acc)
-    return SubgroupSet(G, acc_bits, check=False)
+    closures = {s.bits: s for s in class_normal_closures(G)}.values()
+    return normal_product(G, [s for s in closures
+                              if all(p in pi for p in prime_factors(s.order))])
 
 
 def o_p(G: Group, p: int) -> SubgroupSet:
@@ -403,9 +382,7 @@ def o_p(G: Group, p: int) -> SubgroupSet:
 @memo("fitting")
 def fitting_subgroup(G: Group) -> SubgroupSet:
     """Product of the O_p over the primes dividing |G| (lattice-free)."""
-    parts = [o_p(G, p).elements for p in prime_factors(G.n)]
-    elems = closure_elements(G, np.concatenate(parts)) if parts else [0]
-    return SubgroupSet(G, bits_of(elems), check=False)
+    return normal_product(G, [o_p(G, p) for p in prime_factors(G.n)])
 
 
 def nilpotent_length(G: Group) -> int:
@@ -459,8 +436,7 @@ def frattini_subgroup(G: Group) -> SubgroupSet:
 
 
 def socle(G: Group) -> SubgroupSet:
-    mins = minimal_normal_subgroups(G)
-    return join(G, *mins) if mins else G.trivial_subgroup()
+    return normal_product(G, minimal_normal_subgroups(G))
 
 
 def fitting_via_lattice(G: Group) -> SubgroupSet:

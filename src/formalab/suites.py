@@ -196,17 +196,14 @@ def _module_simplicity_oracle(G: Group) -> None:
     enumerating every line and plane and every group element's action."""
     V = designated_module(G)
     vel = V.elements
-    pos = {int(e): i for i, e in enumerate(vel)}
     # proper nonzero invariant subspaces are exactly the invariant subgroups
     # of V of order 3 or 9; conjugation by G must move each of them
-    from .lattice import all_subgroups, subgroup_as_group
+    from .lattice import all_subgroups, subgroup_as_group, translate_out
     sub, _ = subgroup_as_group(G, V)
     for s in all_subgroups(sub).subgroups:
         if s.order not in (3, 9):
             continue
-        lifted = SubgroupSet(G, sum(1 << int(vel[i]) for i in s.elements),
-                             check=False)
-        if is_normal(G, lifted):
+        if is_normal(G, translate_out(G, V, s)):
             raise ConstructionFailed("module has a proper invariant subspace")
     # faithfulness: only coset of the identity fixes all of V pointwise
     fixing = 0

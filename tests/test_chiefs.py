@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import formalab.chiefs as chiefs_mod
+import formalab.groups as groups_mod
 from formalab import (
     NA,
     NIL,
@@ -43,7 +44,7 @@ from formalab.groups import (
     direct_product,
     group_from_permutations,
 )
-from formalab.lattice import hypercentre, minimal_members, normal_subgroups, o_p
+from formalab.lattice import hypercentre, minimal_members, normal_subgroups
 
 
 def test_chief_series_of_s4(s4):
@@ -286,7 +287,7 @@ def test_quotient_class_closures_are_pulled_back(monkeypatch):
         for N in normal_subgroups(G):
             Q = quotient_group(G, N).target
             with monkeypatch.context() as m:
-                m.setattr(chiefs_mod, "closure_elements", _no_closure)
+                m.setattr(groups_mod, "closure_elements", _no_closure)
                 got = class_normal_closures(Q)
             want = class_normal_closures(_link_free(Q))
             assert [s.bits for s in got] == [s.bits for s in want], (G.name, N.order)
@@ -296,7 +297,8 @@ def test_quotient_class_closures_are_pulled_back(monkeypatch):
 
 def test_quotient_of_parent_without_class_closures_computes_its_own():
     G = _fresh("S4")
-    Q = quotient_group(G, o_p(G, 2)).target  # S4/V4, three classes
+    V4 = next(N for N in normal_subgroups(G) if N.order == 4)
+    Q = quotient_group(G, V4).target  # S4/V4, three classes
     before = dict(G._cache)
     got = class_normal_closures(Q)
     assert [s.bits for s in got] == \

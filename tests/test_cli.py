@@ -298,3 +298,48 @@ def test_prime_over_order_cap_is_refused_before_trial_division(capsys, monkeypat
     monkeypatch.setattr(lattice_mod, "prime_factors", capped_trial_division)
     assert main(argv) == EXIT_LOAD
     assert message in capsys.readouterr().err
+
+
+def _nested_direct_spec(depth):
+    """A direct product of order 4 whose first factor is nested `depth` deep."""
+    inner = "C2"
+    for _ in range(depth):
+        inner = {"kind": "direct", "factors": [inner, "C1"]}
+    return {"name": "deep", "kind": "direct", "factors": [inner, "C2"]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_nested_direct_spec(400)),
+    '{"kind": "table", "table": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["direct-400-deep", "table-100000-brackets"])
+def test_deeply_nested_spec_is_a_load_error(capsys, tmp_path, text):
+    # both once ended in a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_direct_spec_over_order_cap_is_a_cap_error(capsys, tmp_path):
+    path = tmp_path / "s5xc5.json"
+    path.write_text(json.dumps({"kind": "direct", "factors": ["S5", "C5"]}))
+    assert main(["analyze", str(path)]) == EXIT_CAP
+    assert "exceeds cap 512" in capsys.readouterr().err
+
+
+def test_matrix_module_over_order_cap_is_refused_before_it_is_built(
+        capsys, tmp_path, monkeypatch):
+    import formalab.groups as groups_mod
+
+    def built(*args, **kwargs):
+        raise AssertionError("the module was built")
+    monkeypatch.setattr(groups_mod, "elementary_abelian_vector_group", built)
+    monkeypatch.setattr(groups_mod, "semidirect_product", built)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    path = tmp_path / "f3_4_a4.json"  # 3^4 * 12 = 972
+    path.write_text(json.dumps({"kind": "matrix_module", "actor": "A4", "p": 3,
+                                "dim": 4, "generators": [identity, identity]}))
+    assert main(["analyze", str(path)]) == EXIT_CAP
+    assert "order 972 exceeds cap 512" in capsys.readouterr().err

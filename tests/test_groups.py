@@ -17,6 +17,7 @@ from formalab import (
     FormationSpec,
     Group,
     InvalidPermutation,
+    IsoCapExceeded,
     NotAutomorphism,
     NotNormal,
     PreconditionViolated,
@@ -60,6 +61,7 @@ from formalab.groups import (
     element_order,
     element_orders,
     elems_of,
+    is_normal,
 )
 from formalab.lattice import subgroup_as_group
 
@@ -456,6 +458,37 @@ def test_conjugacy_classes_match_bfs_on_permutation_groups(spec):
     degree, generators = spec
     G = group_from_permutations(degree, generators)
     assert [c.tolist() for c in conjugacy_classes(G)] == _conjugacy_classes_bfs(G)
+
+
+def _is_normal_by_generator_loop(G, H):
+    """Reference: every conjugate of H by a generator lies inside H."""
+    el = H.elements
+    mask = np.zeros(G.n, dtype=bool)
+    mask[el] = True
+    return all(mask[G.mul[G.mul[g, el], G.inv[g]]].all() for g in G.gen_idx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(1, d + 1)), max_size=3))))
+def test_is_normal_matches_generator_loop_on_permutation_groups(spec):
+    degree, generators = spec
+    G = group_from_permutations(degree, generators)
+    for H in all_subgroups(G).subgroups:
+        assert is_normal(G, H) == _is_normal_by_generator_loop(G, H), H
+
+
+# -- order caps ----------------------------------------------------------------
+
+def test_direct_product_over_order_cap():
+    with pytest.raises(ClosureCapExceeded, match="direct product order 600"):
+        direct_product(catalog_group("S5"), catalog_group("C5"))
+
+
+def test_isomorphism_over_iso_cap():
+    s5, c2 = catalog_group("S5"), catalog_group("C2")
+    with pytest.raises(IsoCapExceeded, match="order 240"):
+        are_isomorphic(direct_product(s5, c2), direct_product(c2, s5))
 
 
 # -- memoisation ---------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Subgroup lattice enumeration and the classical named subgroups."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formalab.intersections as intersections_mod
 import formalab.lattice as lattice_mod
 from formalab import (
+    NA,
+    NIL,
+    SUP,
     Group,
     all_subgroups,
     build_group,
@@ -15,6 +21,7 @@ from formalab import (
     catalog_groups,
     centre,
     core,
+    f_max_report,
     fitting_subgroup,
     frattini_subgroup,
     hall,
@@ -24,8 +31,11 @@ from formalab import (
     maximal_subgroups,
     minimal_normal_subgroups,
     named_subgroup,
+    nil_pow,
     nilpotent_length,
     normal_subgroups,
+    p_nilp,
+    p_sup,
     quotient_group,
     section_centralizer,
     socle,
@@ -38,16 +48,21 @@ from formalab.groups import (
     SubgroupSet,
     bits_of,
     closure_elements,
+    conjugacy_classes,
     element_orders,
     elems_of,
     group_from_permutations,
+    is_normal,
+    normal_product,
 )
 from formalab.lattice import (
     derived_series,
     derived_subgroup,
     fitting_via_lattice,
+    join,
     minimal_members,
     o_pi,
+    prime_factors,
     subgroup_as_group,
 )
 
@@ -224,7 +239,8 @@ def test_derived_lattices_match_enumeration(monkeypatch):
             want = all_subgroups(_link_free(D))
             assert [s.bits for s in got.subgroups] == \
                 [s.bits for s in want.subgroups], D.name
-            assert got.normal_flags == want.normal_flags, D.name
+            assert [s.bits for s in got.normal_members()] == \
+                [s.bits for s in want.normal_members()], D.name
 
 
 @pytest.mark.parametrize("name, count", [("A5", 59), ("S5", 156)])
@@ -460,3 +476,116 @@ def test_class_ids_split_inside_a_subgroup(monkeypatch):
     yi = subindex[bits_of(np.searchsorted(el, y))]
     assert sublat.classes[xi] != sublat.classes[yi]
     _assert_classes_exact(sub)
+
+
+# -- normal structure read off conjugacy data ----------------------------------
+
+def _normal_by_test(G):
+    """Reference: the members that pass the generator normality test."""
+    return [s.bits for s in all_subgroups(G).subgroups if is_normal(G, s)]
+
+
+def _assert_normal_members_exact(G):
+    assert [s.bits for s in all_subgroups(G).normal_members()] == \
+        _normal_by_test(G), G.name
+
+
+def test_normal_members_match_normality_test_catalogwide():
+    for G in catalog_groups():
+        if G.n <= 128:
+            _assert_normal_members_exact(G)
+
+
+def test_normal_members_match_normality_test_on_derived_lattices(monkeypatch):
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        lat = all_subgroups(G)
+        derived = [quotient_group(G, N).target for N in lat.normal_members()]
+        derived += [subgroup_as_group(G, H)[0] for H in lat.subgroups]
+        for D in derived:
+            if D.origin is None:  # G/1 and G as its own subgroup are G itself
+                continue
+            D = _fresh_derived(D)
+            with monkeypatch.context() as m:
+                m.setattr(lattice_mod, "closure_elements", _no_closure)
+                all_subgroups(D)  # read off the parent's lattice
+            _assert_normal_members_exact(D)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_perms)
+def test_normal_members_match_normality_test_on_random_groups(spec):
+    degree, a, b = spec
+    G = group_from_permutations(degree, [a, b])
+    _assert_normal_members_exact(G)
+    for N in all_subgroups(G).normal_members():
+        _assert_normal_members_exact(_fresh_derived(quotient_group(G, N).target))
+
+
+def _o_pi_by_closure(G, pi):
+    """Reference O_pi: close each pi-class, in class order, into the
+    accumulated join when its normal closure is a pi-group."""
+    orders = element_orders(G)
+    acc = np.array([0], dtype=np.intp)
+    for cls in conjugacy_classes(G):
+        x = int(cls[0])
+        if x == 0 or x in acc or any(p not in pi for p in prime_factors(int(orders[x]))):
+            continue
+        nc = closure_elements(G, cls)
+        if all(p in pi for p in prime_factors(nc.size)):
+            acc = closure_elements(G, np.concatenate([acc, nc]))
+    return bits_of(acc)
+
+
+def test_o_pi_matches_closure_loop_catalogwide():
+    pairs = 0
+    for G in catalog_groups():
+        primes = prime_factors(G.n)
+        for k in range(1, len(primes) + 1):
+            for pi in combinations(primes, k):
+                assert o_pi(G, pi).bits == _o_pi_by_closure(G, frozenset(pi)), \
+                    (G.name, pi)
+                pairs += 1
+    assert pairs == 156
+
+
+def test_normal_product_matches_closure_join():
+    for G in catalog_groups():
+        if G.n > 64:
+            continue
+        normals = normal_subgroups(G)
+        for i, A in enumerate(normals):
+            for B in normals[i:]:
+                want = join(G, A, B).bits
+                assert normal_product(G, [A, B]).bits == want, G.name
+                assert normal_product(G, [B, A]).bits == want, G.name
+    assert normal_product(catalog_group("S4"), []).order == 1
+
+
+def _core_by_loop(G, H, within):
+    """Reference core: intersect the conjugates one element of `within` at
+    a time, stopping at the trivial subgroup."""
+    cur = H.bits
+    for g in within.elements:
+        cur &= bits_of(G.mul[G.mul[g, H.elements], G.inv[g]])
+        if cur == 1:
+            break
+    return cur
+
+
+def test_core_matches_loop_on_k_subnormality_steps(monkeypatch):
+    steps = []
+    real_core = intersections_mod.core
+
+    def recording_core(G, H, within=None):
+        steps.append((G, H, within))
+        return real_core(G, H, within)
+    monkeypatch.setattr(intersections_mod, "core", recording_core)
+    for entry in catalog():
+        G = build_group(entry.spec)  # fresh, so no step verdict is cached
+        for F in (NIL, SUP, NA, p_nilp(2), p_nilp(3), p_sup(3), nil_pow(2)):
+            f_max_report(G, F)
+    assert len(steps) > 300  # 306 steps at the time of writing
+    for G, A, B in steps:
+        assert core(G, A, B).bits == _core_by_loop(G, A, B), G.name
