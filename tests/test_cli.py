@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import formalab.groups as groups_mod
 import formalab.lattice as lattice_mod
 from formalab.cli import EXIT_CAP, EXIT_LOAD, EXIT_OK, EXIT_SUITE, main
 
@@ -331,8 +332,6 @@ def test_direct_spec_over_order_cap_is_a_cap_error(capsys, tmp_path):
 
 def test_matrix_module_over_order_cap_is_refused_before_it_is_built(
         capsys, tmp_path, monkeypatch):
-    import formalab.groups as groups_mod
-
     def built(*args, **kwargs):
         raise AssertionError("the module was built")
     monkeypatch.setattr(groups_mod, "elementary_abelian_vector_group", built)
