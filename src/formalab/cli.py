@@ -111,13 +111,15 @@ def _cmd_verify(args) -> int:
     reports: list[SuiteReport] = []
     name = args.suite
     pi = _parse_pi(args.pi)
-    if pi is not None and not (name == "theorem_a" and args.formation):
+    if pi is not None and not (name == "theorem_a" and args.formation is not None):
         raise PreconditionViolated(
             "--pi applies only to `verify theorem_a --formation ...`")
+    if args.formation is not None and name != "theorem_a":
+        raise PreconditionViolated("--formation applies only to `verify theorem_a`")
     if name in ("baer", "all"):
         reports.append(suite_baer(args.max_order, args.soluble_only))
     if name in ("theorem_a", "all"):
-        if name == "theorem_a" and args.formation:
+        if name == "theorem_a" and args.formation is not None:
             reports.append(suite_theorem_a(
                 parse_formation(args.formation), pi,
                 args.max_order, args.soluble_only))

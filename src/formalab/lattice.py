@@ -1,9 +1,13 @@
 """Exhaustive subgroup lattices and the classical distinguished subgroups.
 
 Lattice enumeration is cyclic extension over zuppos (cyclic subgroups of
-prime-power order) up to conjugacy: one member of each conjugacy class of
-subgroups is joined with each zuppo it does not contain, and a new join
-brings in its whole class; everything is deduplicated by canonical bitmask.
+prime-power order, read off the powers of their generators) up to
+conjugacy: one member K of each conjugacy class of subgroups is extended by
+the zuppos Z in its normaliser with Z^p <= K, each extension the set product
+KZ, and a new subgroup brings in its whole class; everything is
+deduplicated by canonical bitmask.  A soluble group needs nothing more; in
+a non-soluble group K is also joined by closure with each zuppo outside its
+normaliser.
 A quotient or subgroup-as-group whose parent already has its lattice cached
 takes its lattice from the parent's instead (correspondence theorem), with
 the same members in the same order.  A lattice is its members and their
@@ -176,53 +180,101 @@ def _split_classes(G: Group, members: list[tuple[int, int]]) -> list[tuple[int, 
 
 
 def _enumerate_bits(G: Group) -> dict[int, int]:
-    """Subgroup bitmasks of G by cyclic extension over zuppos, up to
-    conjugacy, each mapped to a class key: the bitmask of the member of its
-    conjugacy class that the enumeration found first.
+    """Subgroup bitmasks of G by cyclic extension, up to conjugacy, each
+    mapped to a class key: the bitmask of the member of its conjugacy class
+    that the enumeration found first.
 
-    A zuppo is a cyclic subgroup of prime-power order; every subgroup is
-    the join of its zuppos.  Only one member of each conjugacy class is
-    joined with the zuppos it does not contain, and a new join brings in its
-    whole class.  The found set is closed under conjugation and, since
-    H^g v <z> = (H v <z^(g^-1)>)^g with z^(g^-1) again a zuppo, under joins
-    with zuppos, so it holds every subgroup.
+    A zuppo is a cyclic subgroup of prime-power order.  One loop takes one
+    member K of each conjugacy class, the trivial subgroup first, and
+    extends it by the zuppos Z = <z> it does not contain; a new subgroup
+    brings in its whole class.
+
+    - Z <= N_G(K): the extension is the set product KZ, taken only when
+      Z^p <= K, so that K has prime index p in it.  A longer step
+      K < K<z^p> < KZ is taken one prime index at a time.  Every zuppo
+      whose generator lies in a product already made for K would make that
+      same product again, and is skipped.
+    - Z outside N_G(K), G soluble: skipped.  Every subgroup H > 1 of a
+      soluble group has a normal subgroup K of prime index p, and H = K<z>
+      for a p-element z of N_G(K) with z^p in K, so the products reach it.
+    - Z outside N_G(K), G not soluble: the join of K and Z by closure.  The
+      found set is then closed under conjugation and, since
+      K^g v Z = (K v Z^(g^-1))^g, under joins with zuppos, so it holds every
+      subgroup.
     """
-    orders = element_orders(G)
-    zuppos: dict[int, np.ndarray] = {}
-    for x in range(1, G.n):
-        if len(prime_factors(int(orders[x]))) == 1:
-            c = closure_elements(G, [x])
-            zuppos.setdefault(bits_of(c), c)
+    soluble = is_soluble(G)
+    zuppos = _zuppos(G)
     found = {1: 1}
-    queue: list[tuple[int, np.ndarray]] = []
+    queue: list[tuple[int, np.ndarray, int]] = []
 
-    def add_class(hb: int, hel: np.ndarray) -> None:
-        found.update((b, hb) for b in _conjugate_bits(G, hel))
+    def add_class(kb: int, kel: np.ndarray) -> None:
+        conjugates, normaliser = _conjugates(G, kel)
+        found.update((b, kb) for b in conjugates)
         if len(found) > SUBGROUP_CAP:
             raise SubgroupCountCapExceeded(
                 f"{G.name} has more than {SUBGROUP_CAP} subgroups")
-        queue.append((hb, hel))
+        queue.append((kb, kel, bits_of(normaliser)))
 
-    for zb, zel in zuppos.items():
-        if zb not in found:
-            add_class(zb, zel)
+    queue.append((1, np.zeros(1, dtype=np.intp), (1 << G.n) - 1))
     while queue:
-        hb, hel = queue.pop()
-        for zb, zel in zuppos.items():
-            if zb & hb == zb:
+        kb, kel, nb = queue.pop()
+        made = kb  # K and the products made from it so far
+        for z, zp, zel in zuppos:
+            if made >> z & 1:
                 continue
-            j = closure_elements(G, np.concatenate([hel, zel]))
-            jb = bits_of(j)
+            if nb >> z & 1:
+                if not kb >> zp & 1:
+                    continue
+                jb = bits_of(G.mul[kel[:, None], zel].ravel())
+                made |= jb
+            elif soluble:
+                continue
+            else:
+                jb = bits_of(closure_elements(G, np.concatenate([kel, zel])))
             if jb not in found:
-                add_class(jb, j)
+                add_class(jb, elems_of(jb))
     return found
+
+
+def _zuppos(G: Group) -> list[tuple[int, int, np.ndarray]]:
+    """The zuppos of G, one (z, z^p, elements of <z>) for each, with z its
+    least generator and p the prime dividing its order.  The elements are
+    read off the powers of z, not closed."""
+    orders = element_orders(G)
+    everything = np.arange(G.n)
+    powers = [np.zeros(G.n, dtype=np.intp)]
+    for _ in range(int(orders.max()) - 1):
+        powers.append(G.mul[powers[-1], everything])
+    powers = np.array(powers)  # powers[i, x] = x^i
+    zuppos: dict[int, tuple[int, int, np.ndarray]] = {}
+    for x in range(1, G.n):
+        q = int(orders[x])
+        p = prime_factors(q)
+        if len(p) == 1:
+            zel = powers[:q, x]  # z^p is zel[p % q], since z^q = 1
+            zuppos.setdefault(bits_of(zel), (x, int(zel[p[0] % q]), zel))
+    return list(zuppos.values())
+
+
+def _conjugates(G: Group, kel: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Bitmasks of the distinct conjugates of the subgroup K with elements
+    `kel`, and the elements of its normaliser N.
+
+    g K g^-1 depends only on the left coset gN, so each conjugate is taken
+    once, from the least element of its coset.
+    """
+    rows = conjugate_rows(G, kel, np.arange(G.n))
+    normaliser = np.flatnonzero(rows[:, kel].all(axis=1))
+    if normaliser.size == G.n:
+        return [bits_of(kel)], normaliser
+    least = G.mul[:, normaliser].min(axis=1) == np.arange(G.n)
+    packed = np.packbits(rows[least], axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed], normaliser
 
 
 def _conjugate_bits(G: Group, kel: np.ndarray) -> list[int]:
     """Bitmasks of the distinct conjugates of the subgroup with elements `kel`."""
-    rows = conjugate_rows(G, kel, np.arange(G.n))
-    packed = np.unique(np.packbits(rows, axis=1, bitorder="little"), axis=0)
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return _conjugates(G, kel)[0]
 
 
 def join(G: Group, *subs: SubgroupSet) -> SubgroupSet:

@@ -200,6 +200,36 @@ def test_verify_rejects_pi_where_no_suite_reads_it(capsys, argv):
     assert "--pi applies only to" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "baer", "--formation", "sup", "--max-order", "8"],
+    ["verify", "theorem_d", "--formation", "nonsense", "--max-order", "8"],
+    ["verify", "example_1_2", "--formation", "sup"],
+    ["verify", "all", "--formation", "sup", "--max-order", "8"],
+], ids=["baer", "theorem_d-invalid-name", "example_1_2", "all"])
+def test_verify_rejects_formation_where_no_suite_reads_it(capsys, argv):
+    assert main(argv) == EXIT_LOAD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--formation applies only to" in captured.err
+
+
+def test_verify_theorem_a_reads_formation(capsys):
+    code, data = run(capsys, "verify", "theorem_a", "--formation", "sup",
+                     "--max-order", "8")
+    assert code == EXIT_OK
+    assert [r["suite"] for r in data] == ["theorem_a[sup, pi=all]"]
+
+
+def test_verify_theorem_a_rejects_an_empty_formation(capsys):
+    # an empty name is parsed and refused, not taken as "no --formation"
+    assert main(["verify", "theorem_a", "--formation", "", "--max-order", "8"]) \
+        == EXIT_LOAD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown formation" in captured.err
+
+
 def test_verify_accepts_pi_all_everywhere(capsys):
     code, data = run(capsys, "verify", "baer", "--pi", "all", "--max-order", "12")
     assert code == EXIT_OK

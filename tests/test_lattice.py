@@ -317,6 +317,113 @@ def test_enumeration_matches_reference_on_random_groups(spec):
     assert [s.bits for s in all_subgroups(G).subgroups] == _cyclic_join_closure(G)
 
 
+# -- cyclic extension against the join enumeration ----------------------------
+
+def _enumerate_bits_by_joins(G):
+    """The earlier enumeration, kept as the oracle: one member of each class
+    joined by closure with every zuppo it does not contain, each zuppo
+    closed from one generator, each class listed by `np.unique` over the
+    conjugates by all of G."""
+    orders = element_orders(G)
+    zuppos = {}
+    for x in range(1, G.n):
+        if len(prime_factors(int(orders[x]))) == 1:
+            c = closure_elements(G, [x])
+            zuppos.setdefault(bits_of(c), c)
+    found = {1: 1}
+    queue = []
+
+    def add_class(hb, hel):
+        rows = np.zeros((G.n, G.n), dtype=bool)
+        g = np.arange(G.n)[:, None]
+        rows[g, G.mul[G.mul[g, hel], G.inv[g]]] = True
+        for r in np.unique(np.packbits(rows, axis=1, bitorder="little"), axis=0):
+            found[int.from_bytes(r.tobytes(), "little")] = hb
+        queue.append((hb, hel))
+
+    for zb, zel in zuppos.items():
+        if zb not in found:
+            add_class(zb, zel)
+    while queue:
+        hb, hel = queue.pop()
+        for zb, zel in zuppos.items():
+            if zb & hb == zb:
+                continue
+            j = closure_elements(G, np.concatenate([hel, zel]))
+            if bits_of(j) not in found:
+                add_class(bits_of(j), j)
+    return found
+
+
+def _class_partition(found):
+    """The found bitmasks grouped by class key, as a set of frozensets."""
+    classes = {}
+    for b, key in found.items():
+        classes.setdefault(key, set()).add(b)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _assert_same_enumeration(G):
+    got = lattice_mod._enumerate_bits(G)
+    want = _enumerate_bits_by_joins(G)
+    assert got.keys() == want.keys(), G.name
+    assert _class_partition(got) == _class_partition(want), G.name
+
+
+def test_cyclic_extension_matches_joins_catalogwide():
+    # all 65 groups: Ex1.2 (order 324) and the non-soluble A5, S5 and C2xA5
+    for G in catalog_groups():
+        _assert_same_enumeration(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_perms)
+def test_cyclic_extension_matches_joins_on_random_groups(spec):
+    degree, a, b = spec
+    _assert_same_enumeration(group_from_permutations(degree, [a, b]))
+
+
+def test_soluble_groups_are_enumerated_without_closure(monkeypatch):
+    for C in catalog_groups():
+        if not is_soluble(C):
+            continue
+        G = _link_free(C)
+        is_soluble(G)  # the derived series closes; the enumeration must not
+        with monkeypatch.context() as m:
+            m.setattr(lattice_mod, "closure_elements", _no_closure)
+            got = lattice_mod._enumerate_bits(G)
+        assert got.keys() == {s.bits for s in all_subgroups(C).subgroups}, G.name
+
+
+def test_zuppos_from_powers_match_closures_catalogwide():
+    for G in catalog_groups():
+        orders = element_orders(G)
+        want = {}
+        for x in range(1, G.n):
+            p = prime_factors(int(orders[x]))
+            if len(p) == 1:
+                zb = bits_of(closure_elements(G, [x]))
+                xp = 0
+                for _ in range(p[0]):
+                    xp = G.mul[xp, x]
+                # least generator first, so setdefault keeps it
+                want.setdefault(zb, (x, bits_of(closure_elements(G, [xp]))))
+        zuppos = lattice_mod._zuppos(G)
+        got = {bits_of(zel): (z, bits_of(closure_elements(G, [zp])))
+               for z, zp, zel in zuppos}
+        assert (got, len(zuppos)) == (want, len(want)), G.name
+
+
+def test_subgroup_cap_on_a_non_soluble_group(monkeypatch):
+    G = build_group({"name": "A5-fresh", "kind": "permutation", "degree": 5,
+                     "generators": ["(1 2 3 4 5)", "(1 2 3)"]})
+    assert not is_soluble(G)
+    monkeypatch.setattr(lattice_mod, "SUBGROUP_CAP", 20)  # A5 has 59
+    with pytest.raises(SubgroupCountCapExceeded):
+        all_subgroups(G)
+    assert "lattice" not in G._cache
+
+
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)", "A5", "D12"])
 def test_conjugate_bits_is_a_conjugacy_class(name):
     G = catalog_group(name)
