@@ -82,6 +82,9 @@ _SPEC_KEYS = {
     "semidirect": ("normal", "actor", "action"),
     "matrix_module": ("actor", "p", "dim", "generators"),
 }
+# JSON types of the spec fields read as a whole, wherever they occur.
+_SPEC_TYPES = {"name": (str, "a string"), "factors": (list, "a list"),
+               "generators": (list, "a list"), "action": (list, "a list")}
 
 
 def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
@@ -99,6 +102,10 @@ def build_group(spec: dict, resolve: Resolver | None = None) -> Group:
     if missing:
         raise PreconditionViolated(
             f"{kind} spec {name!r} is missing {', '.join(missing)}")
+    for key, (typ, what) in _SPEC_TYPES.items():
+        if key in spec and not isinstance(spec[key], typ):
+            raise PreconditionViolated(
+                f"{kind} spec field {key} must be {what}, got {spec[key]!r}")
     try:
         return _build_kind(kind, spec, name, resolve)
     except TypeError as exc:  # e.g. int(None), or iterating over a number

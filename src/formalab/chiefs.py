@@ -1,11 +1,11 @@
 """Chief series, F-centrality of chief factors, and the hypercentre Z_piF.
 
-Normal structure needs no subgroup lattice.  It is read off the normal
-closures of the conjugacy classes, which `groups.class_normal_closures`
-computes once per group (a quotient reads its own off its parent's).  The
-minimal normal subgroups over a normal Z are the minimal ones among the
-products Z<x^G>, and the hypercentre absorbs central minimal normal
-subgroups as their product; both products are `groups.normal_product`.
+Normal structure needs no subgroup lattice.  It is read off the distinct
+normal closures of the conjugacy classes, which
+`groups.class_normal_closures` computes once per group.  The minimal
+normal subgroups over a normal Z are the minimal ones among the products
+Z<x^G>, and the hypercentre absorbs central minimal normal subgroups as
+their product; both products are `groups.normal_product`.
 The quotients G/C_G(H/K) that both routes
 below act on come from the memoised `quotient_group`, so each is one
 shared group; when C_G(H/K) = 1 it is G itself.
@@ -86,18 +86,15 @@ def minimal_normals_over(G: Group, Z: SubgroupSet) -> list[SubgroupSet]:
     """Lifts of the minimal normal subgroups of G/Z, in canonical order.
 
     Each candidate is the product Z<x^G> of the normal subgroup Z with the
-    memoised normal closure of a class outside Z (`class_normal_closures`,
-    pulled back through `origin` for a quotient); minimal candidates are
-    exactly the lifted minimal normals.
+    memoised normal closure of a class outside Z (`class_normal_closures`);
+    minimal candidates are exactly the lifted minimal normals.
     """
     cands: dict[int, SubgroupSet] = {}
-    for ncl in {s.bits: s for s in class_normal_closures(G)}.values():
+    for ncl in class_normal_closures(G):
         if not ncl.issubset(Z):
             N = normal_product(G, (Z, ncl))
             cands.setdefault(N.bits, N)
-    mins = minimal_members(cands.values())
-    mins.sort(key=lambda s: (s.order, s.bits))
-    return mins
+    return minimal_members(cands.values())
 
 
 def chief_series(G: Group, choose: str = "first") -> ChiefSeries:

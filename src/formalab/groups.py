@@ -6,8 +6,9 @@ series) are bitmasks over 0..n-1, so everything here is exact integer
 arithmetic; numpy is used only to vectorise table lookups.
 
 Normal structure is read off the conjugacy data kept here: conjugacy
-classes and their normal closures, the product of normal subgroups, and
-the one conjugation kernel `conjugate_rows` (g K g^-1 for a list of g).
+classes and their distinct normal closures, which each group computes for
+itself, the product of normal subgroups, and the one conjugation kernel
+`conjugate_rows` (g K g^-1 for a list of g).
 
 Per-group results (lattices, distinguished subgroups, memberships, ...)
 are memoised on the group by the `memo` decorator; a catalog group's
@@ -383,36 +384,12 @@ def conjugacy_classes(G: Group) -> list[np.ndarray]:
 
 @memo("class_ncl")
 def class_normal_closures(G: Group) -> list[SubgroupSet]:
-    """Normal closure <x^G> of each conjugacy class, in `conjugacy_classes`
-    order; classes with the same closure share one SubgroupSet.
-
-    A quotient G = P/N whose parent P has its closures cached reads them off
-    P's: the classes of P/N are the images of the classes of P, and
-    <proj(x)^(P/N)> = proj(<x^P>).  The parent's closures are never computed
-    just to derive from them; any other group closes each class itself.
-    """
-    found = _pulled_back_closures(G)
-    if found is None:
-        found = [bits_of(closure_elements(G, cls)) for cls in conjugacy_classes(G)]
-    shared = {b: SubgroupSet(G, b, check=False) for b in found}
-    return [shared[b] for b in found]
-
-
-def _pulled_back_closures(G: Group) -> list[int] | None:
-    """Class-closure bitmasks of a quotient read off its parent's cached
-    closures, in order of each class's least element, or None when G is
-    not a quotient or its parent has no closures cached."""
-    if G.origin is None or G.origin.proj is None:
-        return None
-    parent, _, proj = G.origin
-    ncls = parent._cache.get("class_ncl")
-    if ncls is None:
-        return None
-    # each class of G is the image of a parent class; key it by its least element
-    by_least: dict[int, SubgroupSet] = {}
-    for cls, ncl in zip(conjugacy_classes(parent), ncls):
-        by_least.setdefault(int(proj[cls].min()), ncl)
-    return [bits_of(proj[by_least[x].elements]) for x in sorted(by_least)]
+    """The distinct normal closures <x^G> of the conjugacy classes, each
+    once, in order of the first class (`conjugacy_classes` order) that has
+    it.  Every group closes each of its classes itself."""
+    found = dict.fromkeys(bits_of(closure_elements(G, cls))
+                          for cls in conjugacy_classes(G))
+    return [SubgroupSet(G, b, check=False) for b in found]
 
 
 def normal_product(G: Group, subs: Iterable[SubgroupSet]) -> SubgroupSet:

@@ -11,6 +11,7 @@ from .lattice import (
     all_subgroups,
     core,
     intersection,
+    maximal_members,
     subgroup_as_group,
     translate_into,
 )
@@ -34,27 +35,22 @@ def _in_formation(G: Group, H: SubgroupSet, F: FormationSpec) -> bool:
 
 @memo("f_maximal")
 def f_maximal_subgroups(G: Group, F: FormationSpec) -> list[SubgroupSet]:
-    """Inclusion-maximal members of {H <= G : H in F}, in lattice order.
-
-    Menu formations are subgroup-closed, so the F-subgroups form a down-set
-    of the lattice.  Scanning it from the largest subgroup down, one inside
-    an F-maximal subgroup already found is in F but not maximal and is
-    skipped.  Any other subgroup in F is F-maximal: a larger F-subgroup
-    would have been scanned first and lie in a found one, which would then
-    contain this subgroup too.  F is closed under isomorphism, so
-    membership is tested once per conjugacy class of subgroups.
+    """Inclusion-maximal members of {H <= G : H in F}, in lattice order,
+    from the downward scan of `maximal_members`.  F is closed under
+    isomorphism, so membership is tested once per conjugacy class of
+    subgroups.
     """
     lat = all_subgroups(G)
+    class_of = dict(zip([s.bits for s in lat.subgroups], lat.classes))
     in_f: dict[int, bool] = {}  # class id -> membership verdict
-    found: list[SubgroupSet] = []
-    for s, c in zip(reversed(lat.subgroups), reversed(lat.classes)):
-        if any(s.issubset(t) for t in found):
-            continue
+
+    def keep(s: SubgroupSet) -> bool:
+        c = class_of[s.bits]
         if c not in in_f:
             in_f[c] = _in_formation(G, s, F)
-        if in_f[c]:
-            found.append(s)
-    return found[::-1]
+        return in_f[c]
+
+    return maximal_members(lat.subgroups, keep)
 
 
 def int_f(G: Group, F: FormationSpec) -> SubgroupSet:

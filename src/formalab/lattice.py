@@ -286,16 +286,30 @@ def normal_subgroups(G: Group) -> list[SubgroupSet]:
     return all_subgroups(G).normal_members()
 
 
-def maximal_members(family) -> list[SubgroupSet]:
-    """Members of the collection `family` inside no other member, in order."""
-    return [s for s in family
-            if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in family)]
+def maximal_members(members, keep=None) -> list[SubgroupSet]:
+    """The maximal members of the family of `members` that `keep` passes
+    (all when `keep` is None), in the order given.
+
+    `members` are distinct, by ascending order (lattice order is).  From
+    the largest down, one inside a member already found is skipped, unasked,
+    and any other is kept if `keep` passes.  This is right for any family:
+    every larger member of it lies in a maximal one, which was scanned first.
+    """
+    found: list[SubgroupSet] = []
+    for s in reversed(members):
+        if not any(s.issubset(t) for t in found) and (keep is None or keep(s)):
+            found.append(s)
+    return found[::-1]
 
 
-def minimal_members(family) -> list[SubgroupSet]:
-    """Members of the collection `family` containing no other member, in order."""
-    return [s for s in family
-            if not any(t.bits != s.bits and t.bits & s.bits == t.bits for t in family)]
+def minimal_members(members) -> list[SubgroupSet]:
+    """The members containing no other member, in (order, bits) order: the
+    mirror of `maximal_members`, scanned from the smallest up."""
+    found: list[SubgroupSet] = []
+    for s in sorted(members, key=lambda s: (s.order, s.bits)):
+        if not any(t.issubset(s) for t in found):
+            found.append(s)
+    return found
 
 
 def intersection(G: Group, family) -> SubgroupSet:
@@ -422,8 +436,7 @@ def o_pi(G: Group, pi) -> SubgroupSet:
 
 @memo("o_pi")
 def _o_pi(G: Group, pi: frozenset[int]) -> SubgroupSet:
-    closures = {s.bits: s for s in class_normal_closures(G)}.values()
-    return normal_product(G, [s for s in closures
+    return normal_product(G, [s for s in class_normal_closures(G)
                               if all(p in pi for p in prime_factors(s.order))])
 
 
@@ -515,7 +528,7 @@ def named_subgroup(G: Group, kind: str, pi=None, p: int | None = None) -> Subgro
     if kind == "centre":
         return centre(G)
     if kind == "fitting":
-        return fitting_via_lattice(G)
+        return fitting_subgroup(G)
     if kind == "frattini":
         return frattini_subgroup(G)
     if kind == "hypercentre_inf":

@@ -6,7 +6,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import formalab.chiefs as chiefs_mod
-import formalab.groups as groups_mod
 from formalab import (
     NA,
     NIL,
@@ -44,7 +43,7 @@ from formalab.groups import (
     direct_product,
     group_from_permutations,
 )
-from formalab.lattice import hypercentre, minimal_members, normal_subgroups
+from formalab.lattice import hypercentre, normal_subgroups
 
 
 def test_chief_series_of_s4(s4):
@@ -244,7 +243,14 @@ def _minimal_normals_over_by_closure(G, Z):
             continue
         b = bits_of(closure_elements(G, np.concatenate([Z.elements, cls])))
         cands.setdefault(b, SubgroupSet(G, b, check=False))
-    return sorted(minimal_members(cands.values()), key=lambda s: (s.order, s.bits))
+    return sorted(_minimal_members_pairwise(list(cands.values())),
+                  key=lambda s: (s.order, s.bits))
+
+
+def _minimal_members_pairwise(family):
+    """Reference: the members containing no other member, in order."""
+    return [s for s in family
+            if not any(t.bits != s.bits and t.bits & s.bits == t.bits for t in family)]
 
 
 def _assert_minimal_normals_match_reference(G, Zs):
@@ -275,37 +281,17 @@ def _link_free(D):
     return Group(D.mul, D.name, gen_idx=D.gen_idx)
 
 
-def _no_closure(*args):
-    raise AssertionError("pulled-back class closures ran a closure")
-
-
-def test_quotient_class_closures_are_pulled_back(monkeypatch):
+def test_quotient_class_closures_match_a_link_free_copy():
     for G in catalog_groups():
         if G.n > 48:
             continue
-        class_normal_closures(G)
         for N in normal_subgroups(G):
             Q = quotient_group(G, N).target
-            with monkeypatch.context() as m:
-                m.setattr(groups_mod, "closure_elements", _no_closure)
-                got = class_normal_closures(Q)
+            got = class_normal_closures(Q)
             want = class_normal_closures(_link_free(Q))
             assert [s.bits for s in got] == [s.bits for s in want], (G.name, N.order)
-            # classes with the same closure share one SubgroupSet
-            assert len({id(s) for s in got}) == len({s.bits for s in got})
-
-
-def test_quotient_of_parent_without_class_closures_computes_its_own():
-    G = _fresh("S4")
-    V4 = next(N for N in normal_subgroups(G) if N.order == 4)
-    Q = quotient_group(G, V4).target  # S4/V4, three classes
-    before = dict(G._cache)
-    got = class_normal_closures(Q)
-    assert [s.bits for s in got] == \
-        [s.bits for s in class_normal_closures(_link_free(Q))]
-    assert len(got) == 3
-    assert G._cache == before
-    assert "class_ncl" not in G._cache
+            # each distinct closure once
+            assert len(got) == len({s.bits for s in got})
 
 
 # -- vectorised section centralizer --------------------------------------------

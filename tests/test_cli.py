@@ -164,6 +164,28 @@ def test_analyze_spec_with_wrong_value_type(capsys, tmp_path, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "permutation", "degree": 4, "generators": ["(1 2 3 4)"], "name": ["x"]},
+     "name"),
+    ({"kind": "direct", "factors": "S3"}, "factors"),
+    ({"kind": "direct", "factors": ["C2", {"kind": "direct", "factors": "C3"}]},
+     "factors"),
+    ({"kind": "permutation", "degree": 3, "generators": "(1 2 3)"}, "generators"),
+    ({"kind": "matrix_module", "actor": "C3", "p": 2, "dim": 2,
+      "generators": {"a": [[0, 1], [1, 1]]}}, "generators"),
+    ({"kind": "semidirect", "normal": "C3", "actor": "C2", "action": "021"},
+     "action"),
+], ids=["name-list", "factors-string", "nested-factors-string", "generators-string",
+        "matrix-generators-object", "action-string"])
+def test_analyze_spec_field_of_the_wrong_json_type(capsys, tmp_path, spec, field):
+    # a list name was once reported as the group name, and a string of
+    # factors was read letter by letter
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert f"field {field} must be" in capsys.readouterr().err
+
+
 def test_analyze_over_subgroup_cap(capsys, tmp_path, monkeypatch):
     path = tmp_path / "s4.json"
     # a group built from a file has no cached lattice

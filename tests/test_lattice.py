@@ -60,6 +60,7 @@ from formalab.lattice import (
     derived_subgroup,
     fitting_via_lattice,
     join,
+    maximal_members,
     minimal_members,
     o_pi,
     prime_factors,
@@ -194,6 +195,17 @@ def test_named_subgroup_dispatch(s4):
     assert named_subgroup(s4, "socle").order == 4
 
 
+def test_named_subgroups_but_frattini_build_no_lattice():
+    G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
+                     "generators": ["(1 2 3 4)", "(1 2)"]})
+    assert named_subgroup(G, "fitting").order == 4
+    for kind in ("derived", "centre", "hypercentre_inf", "socle"):
+        named_subgroup(G, kind)
+    named_subgroup(G, "O_pi", pi={2})
+    named_subgroup(G, "O_pprime_p", p=3)
+    assert "lattice" not in G._cache
+
+
 def test_minimal_normal_subgroups_build_no_lattice():
     G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
                      "generators": ["(1 2 3 4)", "(1 2)"]})
@@ -203,7 +215,7 @@ def test_minimal_normal_subgroups_build_no_lattice():
 
 def test_minimal_normal_subgroups_match_lattice_catalogwide():
     for G in catalog_groups():
-        want = minimal_members([s for s in normal_subgroups(G) if s.order > 1])
+        want = _minimal_members_pairwise([s for s in normal_subgroups(G) if s.order > 1])
         assert [m.bits for m in minimal_normal_subgroups(G)] == \
             [m.bits for m in want], G.name
 
@@ -315,6 +327,58 @@ def test_enumeration_matches_reference_on_random_groups(spec):
     degree, a, b = spec
     G = group_from_permutations(degree, [a, b])
     assert [s.bits for s in all_subgroups(G).subgroups] == _cyclic_join_closure(G)
+
+
+# -- extremal-member scans against the pairwise definitions -------------------
+
+def _maximal_members_pairwise(family):
+    """Reference: the members inside no other member, in order."""
+    return [s for s in family
+            if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in family)]
+
+
+def _minimal_members_pairwise(family):
+    """Reference: the members containing no other member, in order."""
+    return [s for s in family
+            if not any(t.bits != s.bits and t.bits & s.bits == t.bits for t in family)]
+
+
+def _assert_maximal_subgroups_match_pairwise(G):
+    proper = [s for s in all_subgroups(G).subgroups if s.order < G.n]
+    assert [s.bits for s in maximal_subgroups(G)] == \
+        [s.bits for s in _maximal_members_pairwise(proper)], G.name
+
+
+def test_maximal_subgroups_match_pairwise_catalogwide():
+    for G in catalog_groups():
+        _assert_maximal_subgroups_match_pairwise(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_perms)
+def test_maximal_subgroups_match_pairwise_on_random_groups(spec):
+    degree, a, b = spec
+    _assert_maximal_subgroups_match_pairwise(group_from_permutations(degree, [a, b]))
+
+
+def test_maximal_subgroups_match_pairwise_on_a_fresh_c16xe16():
+    G = build_group({"name": "C16xE16", "kind": "direct", "factors": ["C16", "E16"]})
+    assert len(all_subgroups(G)) == 1295
+    _assert_maximal_subgroups_match_pairwise(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, (1 << 30) - 1))
+def test_extremal_scans_match_pairwise_on_any_family(s4, pick):
+    # a family of S4's 30 subgroups, closed under subgroups or not
+    subgroups = all_subgroups(s4).subgroups
+    family = [s for i, s in enumerate(subgroups) if pick >> i & 1]
+    chosen = {s.bits for s in family}
+    want = [s.bits for s in _maximal_members_pairwise(family)]
+    assert [s.bits for s in maximal_members(family)] == want
+    assert [s.bits for s in maximal_members(subgroups, lambda s: s.bits in chosen)] == want
+    assert [s.bits for s in minimal_members(family[::-1])] == \
+        [s.bits for s in _minimal_members_pairwise(family)]
 
 
 # -- cyclic extension against the join enumeration ----------------------------
