@@ -30,6 +30,7 @@ from .groups import (
     ORDER_CAP,
     Group,
     SubgroupSet,
+    _shared,
     bits_of,
     class_normal_closures,
     closure_elements,
@@ -151,7 +152,8 @@ def section_extension(G: Group, H: SubgroupSet, K: SubgroupSet) -> Group:
     """(H/K) x| (G/C_G(H/K)), with G/C acting on H/K by conjugation.
 
     Refused with ClosureCapExceeded, before the quotients and the action
-    are built, when |H/K| * |G:C_G(H/K)| exceeds ORDER_CAP.
+    are built, when |H/K| * |G:C_G(H/K)| exceeds ORDER_CAP.  The product
+    is the one derived group with its table (`groups._shared`).
     """
     C = section_centralizer(G, H, K)
     order = H.order // K.order * (G.n // C.order)
@@ -169,7 +171,7 @@ def section_extension(G: Group, H: SubgroupSet, K: SubgroupSet) -> Group:
     areps = np.unique(qa.proj, return_index=True)[1]
     conj = G.mul[G.mul[areps[:, None], vreps], G.inv[areps][:, None]]
     action = qv.proj[np.searchsorted(hel, conj)]
-    return semidirect_product(V, A, action, name="section-extension")
+    return _shared(semidirect_product(V, A, action, name="section-extension"))
 
 
 def is_f_central(G: Group, fac: ChiefFactor, F: FormationSpec) -> bool:

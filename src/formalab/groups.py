@@ -13,11 +13,20 @@ itself, the product of normal subgroups, and the one conjugation kernel
 Per-group results (lattices, distinguished subgroups, memberships, ...)
 are memoised on the group by the `memo` decorator; a catalog group's
 `designated_module` is the one cache entry written by hand.
+
+The groups this package derives for itself (quotients G/N, re-indexed
+subgroups, section extensions) are one object per multiplication table:
+each is built and checked, then `_shared` hands back the live group with
+the same table if there is one, so every construction of that table reads
+and warms one cache.  Every memoised result is a function of the table
+alone, so the merge changes no answer.  Groups built by a caller (the
+catalog, `build_group`, `Group(...)`) are never merged.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +38,7 @@ from .errors import (
     NotActionHomomorphism,
     NotAutomorphism,
     NotNormal,
+    PreconditionViolated,
     RelationMismatch,
 )
 
@@ -70,6 +80,10 @@ _MISS = object()
 
 def memo(family: str):
     """Cache `fn(G, *args)` on `G._cache`, one entry per group and arguments.
+
+    A derived group's cache is shared by every construction of its table
+    (`_shared`), so a result must depend on the table alone, never on the
+    name, generators or origin of the construction that built the group.
 
     The key is `family` alone when there are no further arguments, else the
     tuple of `family` and the arguments, with each SubgroupSet replaced by
@@ -113,7 +127,9 @@ class Group:
     Immutable after construction; the identity is always index 0.  `origin`
     is set on the groups that `quotient_group` and `subgroup_as_group`
     build, which are G/N for N > 1 and the subgroups H < G; they return G
-    itself for G/1 and for G as its own subgroup.
+    itself for G/1 and for G as its own subgroup.  A derived group shared
+    by several constructions keeps the origin, name and generators of the
+    first; its origin is None when that was a section extension.
     """
 
     def __init__(self, mul, name: str, gen_idx: Sequence[int] | None = None,
@@ -427,14 +443,25 @@ def element_orders(G: Group) -> np.ndarray:
     return orders
 
 
-def element_order(G: Group, x: int) -> int:
-    """Least k >= 1 with x^k = e."""
-    if not 0 <= x < G.n:
-        raise ValueError(f"element index {x} out of range")
-    return int(element_orders(G)[x])
-
-
 # -- constructors -----------------------------------------------------------
+
+# live derived groups by (order, table digest); weak, so it keeps none alive
+_DERIVED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared(G: Group) -> Group:
+    """The live derived group whose table equals G's, else G, registered.
+
+    G has passed every check of its own construction.  A group is merged
+    only on an exact table match; the digest just finds the candidate.
+    """
+    key = (G.n, hash(G.mul.tobytes()))
+    known = _DERIVED.get(key)
+    if known is not None and np.array_equal(known.mul, G.mul):
+        return known
+    _DERIVED[key] = G
+    return G
+
 
 def _perm_from_cycles_ok(perm: Sequence[int], degree: int) -> tuple[int, ...]:
     p = tuple(int(v) for v in perm)
@@ -616,6 +643,8 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
     exactly the checks that the matrices are invertible and respect H's
     relations; a failure of either raises RelationMismatch.
     """
+    if dim < 1:
+        raise PreconditionViolated(f"dim must be positive, got {dim}")
     if len(mats) != len(H.gen_idx):
         raise RelationMismatch(
             f"need one matrix per generator of {H.name} "
@@ -639,7 +668,8 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
 def quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
     """Quotient G/N; cosets are indexed by their least element, ascending.
 
-    One QuotientMap per (G, N) is built and shared by every caller, so the
+    One QuotientMap per (G, N) is built and shared by every caller, and its
+    target is the one derived group with its table (`_shared`), so the
     quotient's memoised results are computed once.  G/1 is G itself: with
     singleton cosets the indexing gives G's own table and numbering.
     """
@@ -664,7 +694,7 @@ def _quotient_group(G: Group, N: SubgroupSet) -> QuotientMap:
     target = Group(mul, f"{G.name}/({N.order})", gen_idx=gens,
                    provenance=f"quotient of {G.name} by order-{N.order} subgroup",
                    origin=Origin(G, N, proj))
-    return QuotientMap(G, target, proj, N)
+    return QuotientMap(G, _shared(target), proj, N)
 
 
 def is_normal(G: Group, H: SubgroupSet) -> bool:

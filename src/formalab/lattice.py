@@ -38,6 +38,7 @@ from .groups import (
     Origin,
     QuotientMap,
     SubgroupSet,
+    _shared,
     bits_of,
     class_normal_closures,
     closure_elements,
@@ -471,7 +472,8 @@ def subgroup_as_group(G: Group, H: SubgroupSet) -> tuple[Group, np.ndarray]:
 
     Returns (group, elems) where elems[i] is the parent index of the
     subgroup's element i; sorted ascending so identity stays at 0.  G as
-    its own subgroup is G itself, since the re-indexed table is G's.
+    its own subgroup is G itself, since the re-indexed table is G's; any
+    other is the one derived group with its table (`groups._shared`).
     """
     el = H.elements
     if el.size == G.n:
@@ -480,7 +482,7 @@ def subgroup_as_group(G: Group, H: SubgroupSet) -> tuple[Group, np.ndarray]:
     sub = Group(sub_mul, f"{G.name}[{H.order}]",
                 provenance=f"subgroup of {G.name}",
                 origin=Origin(G, H, None))
-    return sub, el
+    return _shared(sub), el
 
 
 def translate_into(G: Group, H: SubgroupSet, S: SubgroupSet) -> SubgroupSet:
@@ -502,16 +504,6 @@ def frattini_subgroup(G: Group) -> SubgroupSet:
 
 def socle(G: Group) -> SubgroupSet:
     return normal_product(G, minimal_normal_subgroups(G))
-
-
-def fitting_via_lattice(G: Group) -> SubgroupSet:
-    """Join of all normal nilpotent subgroups (independent of fitting_subgroup)."""
-    nil = []
-    for s in normal_subgroups(G):
-        sub, _ = subgroup_as_group(G, s)
-        if is_nilpotent(sub):
-            nil.append(s)
-    return join(G, *nil)
 
 
 def o_pprime_p(G: Group, p: int) -> SubgroupSet:

@@ -311,6 +311,18 @@ def test_analyze_spec_with_non_integer_or_non_prime_number(capsys, tmp_path, spe
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_analyze_matrix_module_dim_below_one(capsys, tmp_path, dim):
+    # -1 once exited 2 blaming a float: p**dim was 0.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "matrix_module", "actor": "C3", "p": 2,
+                                "dim": dim, "generators": [[[1]]]}))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    err = capsys.readouterr().err
+    assert f"dim must be positive, got {dim}" in err
+    assert "float" not in err
+
+
 def test_analyze_non_associative_table_spec(capsys, tmp_path):
     path = tmp_path / "loop5.json"
     path.write_text(json.dumps({"name": "loop5", "kind": "table",

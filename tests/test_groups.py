@@ -1,6 +1,8 @@
 """Multiplication-table construction, products, quotients, isomorphism."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formalab
+import formalab.groups as groups_mod
 from formalab import (
     NA,
     NIL,
@@ -26,7 +29,9 @@ from formalab import (
     all_subgroups,
     are_isomorphic,
     build_group,
+    catalog,
     catalog_group,
+    catalog_groups,
     centre,
     chief_series,
     derived_subgroup,
@@ -40,6 +45,7 @@ from formalab import (
     is_member,
     is_soluble,
     matrix_module_semidirect,
+    normal_subgroups,
     quotient_group,
     residual,
     satellite_member,
@@ -58,7 +64,6 @@ from formalab.groups import (
     bits_of,
     closure_elements,
     conjugacy_classes,
-    element_order,
     element_orders,
     elems_of,
     is_normal,
@@ -109,7 +114,7 @@ def test_cyclic_orders(c12):
 
 
 def test_element_order(s4):
-    orders = sorted(int(element_order(s4, x)) for x in range(24))
+    orders = sorted(element_orders(s4).tolist())
     assert orders.count(1) == 1
     assert orders.count(2) == 9
     assert orders.count(3) == 8
@@ -567,3 +572,104 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+
+# -- one group per derived table ----------------------------------------------
+
+def _normal_of_order(G, order):
+    return next(N for N in normal_subgroups(G) if N.order == order)
+
+
+def test_equal_tables_from_different_parents_are_one_group():
+    S3, C4 = catalog_group("S3"), catalog_group("C4")
+    C2 = _normal_of_order(C4, 2)
+    by_s3 = quotient_group(S3, derived_subgroup(S3)).target  # S3/A3
+    by_c4 = quotient_group(C4, C2).target
+    assert by_s3.n == 2
+    assert by_c4 is by_s3
+    assert all_subgroups(by_c4) is all_subgroups(by_s3)  # one warm cache
+    # a re-indexed subgroup and a section extension with that table too
+    assert subgroup_as_group(C4, C2)[0] is by_s3
+    assert section_extension(C4, C2, C4.trivial_subgroup()) is by_s3
+
+
+def test_different_tables_are_never_merged():
+    C8, D8 = catalog_group("C8"), catalog_group("D8")
+    c4 = quotient_group(C8, _normal_of_order(C8, 2)).target
+    e4 = quotient_group(D8, centre(D8)).target
+    assert c4.n == e4.n == 4
+    assert c4 is not e4
+    # every shared group is still the table its caller's map was built for
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        for N in normal_subgroups(G):
+            qm = quotient_group(G, N)
+            assert np.array_equal(qm.proj[G.mul],
+                                  qm.target.mul[qm.proj[:, None], qm.proj]), G.name
+        for H in all_subgroups(G).subgroups:
+            sub, el = subgroup_as_group(G, H)
+            assert np.array_equal(el[sub.mul], G.mul[np.ix_(el, el)]), G.name
+
+
+def test_origin_check_runs_on_every_construction(monkeypatch):
+    calls = []
+    check = Group._validate_against_origin
+
+    def counted(self):
+        calls.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(Group, "_validate_against_origin", counted)
+    first, second = _fresh_s4(), _fresh_s4()
+    for G in (first, second):
+        quotient_group(G, derived_subgroup(G))
+        subgroup_as_group(G, derived_subgroup(G))
+    # the second pair's tables are registered already, and still checked
+    assert calls == [2, 12, 2, 12]
+    assert quotient_group(second, derived_subgroup(second)).target is \
+        quotient_group(first, derived_subgroup(first)).target
+    assert subgroup_as_group(second, derived_subgroup(second))[0] is \
+        subgroup_as_group(first, derived_subgroup(first))[0]
+
+
+def test_root_groups_are_never_merged():
+    A, B = _fresh_s4(), _fresh_s4()
+    assert A is not B and A.name == B.name == "S4-fresh"
+    assert Group(A.mul, "copy") is not A
+    groups = catalog_groups()
+    assert len({id(G) for G in groups}) == 65
+    assert [G.name for G in groups] == [e.name for e in catalog()]
+    registered = {id(D) for D in groups_mod._DERIVED.values()}
+    assert not registered & {id(G) for G in [*groups, A, B]}
+    # a derived group with a catalog group's table stays its own object
+    S3, C2 = catalog_group("S3"), catalog_group("C2")
+    Q = quotient_group(S3, derived_subgroup(S3)).target
+    assert np.array_equal(Q.mul, C2.mul) and Q is not C2
+
+
+def _descends_from(D, G):
+    while D.origin is not None:
+        D = D.origin.parent
+        if D is G:
+            return True
+    return False
+
+
+def test_registry_keeps_no_derived_group_alive():
+    # S4 on its Coxeter generators: a numbering no other test uses, so its
+    # derived tables are registered by this group, not merged into others
+    G = build_group({"name": "S4-coxeter", "kind": "permutation", "degree": 4,
+                     "generators": ["(1 2)", "(2 3)", "(3 4)"]})
+    for F in (NIL, SUP, NA):
+        z_f(G, F)
+        int_f(G, F)
+    mine = [weakref.ref(D) for D in groups_mod._DERIVED.values()
+            if _descends_from(D, G)]
+    assert mine
+    root = weakref.ref(G)
+    del G
+    gc.collect()
+    assert root() is None
+    assert [r for r in mine if r() is not None] == []

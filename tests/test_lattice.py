@@ -58,7 +58,6 @@ from formalab.groups import (
 from formalab.lattice import (
     derived_series,
     derived_subgroup,
-    fitting_via_lattice,
     join,
     maximal_members,
     minimal_members,
@@ -128,10 +127,21 @@ def test_solubility():
     assert not is_soluble(catalog_group("S5"))
 
 
+def _fitting_via_lattice(G):
+    """Reference Fitting subgroup: the join by closure of every normal
+    nilpotent subgroup, independent of `fitting_subgroup`."""
+    nil = []
+    for s in normal_subgroups(G):
+        sub, _ = subgroup_as_group(G, s)
+        if is_nilpotent(sub):
+            nil.append(s)
+    return join(G, *nil)
+
+
 def test_fitting_both_routes_agree():
     for name in ("S3", "S4", "SL(2,3)", "A5", "D12", "C3:C8"):
         G = catalog_group(name)
-        assert fitting_subgroup(G).bits == fitting_via_lattice(G).bits
+        assert fitting_subgroup(G).bits == _fitting_via_lattice(G).bits
 
 
 def test_fitting_is_nilpotent_catalogwide():
@@ -232,6 +242,24 @@ def _link_free(D):
     return Group(D.mul, D.name, gen_idx=D.gen_idx)
 
 
+def _fresh_quotient(G, N):
+    """G/N on a new handle with an empty cache, linked to G itself.
+
+    The shared G/N is one group per table: it may have been built from
+    another parent first, or have its lattice cached already.  A direct
+    Group call is never merged, so this handle reads its lattice off G's.
+    """
+    qm = quotient_group(G, N)
+    T = qm.target
+    return Group(T.mul, T.name, gen_idx=T.gen_idx, origin=Origin(G, N, qm.proj))
+
+
+def _fresh_subgroup(G, H):
+    """H re-indexed, on a new handle linked to G itself (see _fresh_quotient)."""
+    T, _ = subgroup_as_group(G, H)
+    return Group(T.mul, T.name, gen_idx=T.gen_idx, origin=Origin(G, H, None))
+
+
 def _no_closure(*args):
     raise AssertionError("derived lattice was enumerated")
 
@@ -241,8 +269,8 @@ def test_derived_lattices_match_enumeration(monkeypatch):
         if G.n > 48:
             continue
         lat = all_subgroups(G)
-        derived = [quotient_group(G, N).target for N in lat.normal_members()]
-        derived += [subgroup_as_group(G, H)[0] for H in lat.subgroups]
+        derived = [_fresh_quotient(G, N) for N in lat.normal_members()]
+        derived += [_fresh_subgroup(G, H) for H in lat.subgroups]
         for D in derived:
             with monkeypatch.context() as m:
                 # a derived lattice needs no closure at all
@@ -263,9 +291,11 @@ def test_reference_subgroup_counts(name, count):
 def test_derived_lattice_without_parent_lattice_is_enumerated():
     G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
                      "generators": ["(1 2 3 4)", "(1 2)"]})  # no cached lattice
-    Q = quotient_group(G, derived_subgroup(G)).target
-    H, _ = subgroup_as_group(G, derived_subgroup(G))
+    Q = _fresh_quotient(G, derived_subgroup(G))
+    H = _fresh_subgroup(G, derived_subgroup(G))
+    assert "lattice" not in Q._cache
     assert len(all_subgroups(Q)) == 2
+    assert "lattice" not in H._cache
     assert len(all_subgroups(H)) == 10
     assert "lattice" not in G._cache
 
@@ -274,13 +304,15 @@ def test_subgroup_cap_on_both_paths(monkeypatch):
     G = build_group({"name": "S4-fresh", "kind": "permutation", "degree": 4,
                      "generators": ["(1 2 3 4)", "(1 2)"]})
     all_subgroups(G)  # 30 subgroups, under the default cap
-    H, _ = subgroup_as_group(G, derived_subgroup(G))  # A4: 10 subgroups
+    H = _fresh_subgroup(G, derived_subgroup(G))  # A4: 10 subgroups
     E = _link_free(H)
     monkeypatch.setattr(lattice_mod, "SUBGROUP_CAP", 5)
     with monkeypatch.context() as m:
         m.setattr(lattice_mod, "closure_elements", _no_closure)
+        assert "lattice" not in H._cache
         with pytest.raises(SubgroupCountCapExceeded):
             all_subgroups(H)  # derived from G's lattice
+    assert "lattice" not in E._cache
     with pytest.raises(SubgroupCountCapExceeded):
         all_subgroups(E)  # enumerated
     assert "lattice" not in H._cache
@@ -504,11 +536,12 @@ def test_conjugate_bits_is_a_conjugacy_class(name):
 # -- derived tables are checked against their parent ---------------------------
 
 def test_forged_quotient_origin_is_rejected(s4):
-    Q = quotient_group(s4, minimal_normal_subgroups(s4)[0]).target
-    parent, N, proj = Q.origin
-    Group(Q.mul, "copy", origin=Origin(parent, N, proj))  # the genuine link passes
+    N = minimal_normal_subgroups(s4)[0]
+    qm = quotient_group(s4, N)
+    Q, proj = qm.target, qm.proj
+    Group(Q.mul, "copy", origin=Origin(s4, N, proj))  # the genuine link passes
     with pytest.raises(ValueError):
-        Group(Q.mul, "forged", origin=Origin(parent, N, np.roll(proj, 1)))
+        Group(Q.mul, "forged", origin=Origin(s4, N, np.roll(proj, 1)))
 
 
 def test_forged_subgroup_origin_is_rejected(s3):
@@ -581,12 +614,6 @@ def _assert_classes_exact(G):
         assert lat.subgroups[c].bits == min(members[c], key=lambda b: (b.bit_count(), b))
 
 
-def _fresh_derived(D):
-    """A new handle on the derived group D with an empty cache, so that its
-    lattice is read off its parent's and not reused."""
-    return Group(D.mul, D.name, gen_idx=D.gen_idx, origin=D.origin)
-
-
 def test_class_ids_exact_catalogwide():
     for G in catalog_groups():
         if G.n <= 128:
@@ -599,13 +626,10 @@ def test_class_ids_exact_on_derived_lattices(monkeypatch):
         if G.n > 128:
             continue
         lat = all_subgroups(G)
-        derived += [quotient_group(G, N).target for N in lat.normal_members()]
+        derived += [_fresh_quotient(G, N) for N in lat.normal_members()]
         if G.n <= 48:
-            derived += [subgroup_as_group(G, H)[0] for H in lat.subgroups]
+            derived += [_fresh_subgroup(G, H) for H in lat.subgroups]
     for D in derived:
-        if D.origin is None:  # G/1 and G as its own subgroup are G itself
-            continue
-        D = _fresh_derived(D)
         with monkeypatch.context() as m:
             m.setattr(lattice_mod, "closure_elements", _no_closure)
             all_subgroups(D)
@@ -620,9 +644,9 @@ def test_class_ids_exact_on_random_groups(spec):
     _assert_classes_exact(G)
     lat = all_subgroups(G)
     for N in lat.normal_members():
-        _assert_classes_exact(_fresh_derived(quotient_group(G, N).target))
+        _assert_classes_exact(_fresh_quotient(G, N))
     for H in lat.subgroups:
-        _assert_classes_exact(_fresh_derived(subgroup_as_group(G, H)[0]))
+        _assert_classes_exact(_fresh_subgroup(G, H))
 
 
 def test_class_ids_split_inside_a_subgroup(monkeypatch):
@@ -638,7 +662,7 @@ def test_class_ids_split_inside_a_subgroup(monkeypatch):
     assert lat.classes[index[bits_of(x)]] == lat.classes[index[bits_of(y)]]
     D8 = SubgroupSet(G, bits_of(closure_elements(G, [a, b])))
     assert D8.order == 8 and D8.contains(a2) and D8.contains(c)
-    sub, el = subgroup_as_group(G, D8)
+    sub, el = _fresh_subgroup(G, D8), D8.elements
     with monkeypatch.context() as m:
         m.setattr(lattice_mod, "closure_elements", _no_closure)
         sublat = all_subgroups(sub)  # read off the lattice of S4
@@ -672,12 +696,9 @@ def test_normal_members_match_normality_test_on_derived_lattices(monkeypatch):
         if G.n > 48:
             continue
         lat = all_subgroups(G)
-        derived = [quotient_group(G, N).target for N in lat.normal_members()]
-        derived += [subgroup_as_group(G, H)[0] for H in lat.subgroups]
+        derived = [_fresh_quotient(G, N) for N in lat.normal_members()]
+        derived += [_fresh_subgroup(G, H) for H in lat.subgroups]
         for D in derived:
-            if D.origin is None:  # G/1 and G as its own subgroup are G itself
-                continue
-            D = _fresh_derived(D)
             with monkeypatch.context() as m:
                 m.setattr(lattice_mod, "closure_elements", _no_closure)
                 all_subgroups(D)  # read off the parent's lattice
@@ -691,7 +712,7 @@ def test_normal_members_match_normality_test_on_random_groups(spec):
     G = group_from_permutations(degree, [a, b])
     _assert_normal_members_exact(G)
     for N in all_subgroups(G).normal_members():
-        _assert_normal_members_exact(_fresh_derived(quotient_group(G, N).target))
+        _assert_normal_members_exact(_fresh_quotient(G, N))
 
 
 def _o_pi_by_closure(G, pi):

@@ -1,7 +1,7 @@
 """formalab's group invariants against sympy's, an oracle written elsewhere.
 
-Each catalog group, and each proper quotient of the small ones, becomes a
-sympy PermutationGroup on its right regular representation: generator g
+Each catalog group, and each proper quotient and re-indexed subgroup of
+the small ones, becomes a sympy PermutationGroup on its right regular representation: generator g
 acts on the element indices by x -> x g, the column `G.mul[:, g]` of the
 table.
 """
@@ -9,6 +9,7 @@ table.
 import pytest
 
 from formalab import (
+    all_subgroups,
     catalog_groups,
     centre,
     derived_subgroup,
@@ -18,7 +19,7 @@ from formalab import (
     quotient_group,
 )
 from formalab.groups import conjugacy_classes
-from formalab.lattice import derived_series
+from formalab.lattice import derived_series, subgroup_as_group
 
 pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
@@ -75,4 +76,26 @@ def test_quotient_invariants_match_sympy():
             if ours != theirs:
                 mismatches.append((G.name, N.order, ours, theirs))
     assert count > 300
+    assert mismatches == []
+
+
+def test_subgroup_invariants_match_sympy():
+    # every subgroup H of the catalog groups of order <= 48, re-indexed: one
+    # shared group now answers for every H with its table
+    mismatches = []
+    count = 0
+    for G in catalog_groups():
+        if G.n > 48:
+            continue
+        for H in all_subgroups(G).subgroups:
+            S, _ = subgroup_as_group(G, H)
+            P = _regular_representation(S)
+            ours = (S.n, centre(S).order, derived_subgroup(S).order, is_soluble(S),
+                    is_nilpotent(S))
+            theirs = (P.order(), P.center().order(), P.derived_subgroup().order(),
+                      P.is_solvable, P.is_nilpotent)
+            count += 1
+            if ours != theirs:
+                mismatches.append((G.name, H.order, ours, theirs))
+    assert count > 800
     assert mismatches == []
