@@ -112,16 +112,11 @@ from .lattice import (
     upper_central_series,
 )
 from .suites import (
+    STATEMENTS,
+    Statement,
     SuiteReport,
     analyze_report,
-    suite_baer,
-    suite_boundary,
-    suite_example_1_2,
-    suite_pnilp_structure,
-    suite_theorem_a,
-    suite_theorem_b,
-    suite_theorem_c,
-    suite_theorem_d,
+    run,
 )
 
 __version__ = "1.0.0"

@@ -23,19 +23,11 @@ from .formations import parse_formation
 from .groups import ORDER_CAP
 from .lattice import is_small_prime
 from .suites import (
-    CERTIFIED_BOUNDARY,
-    SuiteReport,
+    STATEMENTS,
     analyze_report,
-    certified_boundary_pi,
-    suite_baer,
-    suite_boundary,
-    suite_example_1_2,
+    run,
     suite_groups,
-    suite_pnilp_structure,
-    suite_theorem_a,
-    suite_theorem_b,
-    suite_theorem_c,
-    suite_theorem_d,
+    theorem_a_statement,
 )
 
 EXIT_OK = 0
@@ -44,6 +36,7 @@ EXIT_CAP = 3
 EXIT_SUITE = 4
 
 _CAP_ERRORS = (ClosureCapExceeded, SubgroupCountCapExceeded, IsoCapExceeded)
+VERIFY_NAMES = (*dict.fromkeys(s.verify for s in STATEMENTS), "all")
 
 
 def _emit(obj) -> None:
@@ -97,18 +90,8 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _theorem_a_reports(args) -> list[SuiteReport]:
-    from .formations import NA, NIL, p_dec, p_nilp
-    configs = [(NIL, None), (p_dec(2), None), (p_dec(3), None),
-               (p_nilp(2), frozenset({2})), (p_nilp(3), frozenset({3})),
-               (NA, None)]
-    return [suite_theorem_a(F, pi, args.max_order, args.soluble_only)
-            for F, pi in configs]
-
-
 def _cmd_verify(args) -> int:
     _check_max_order(args.max_order)
-    reports: list[SuiteReport] = []
     name = args.suite
     pi = _parse_pi(args.pi)
     if pi is not None and not (name == "theorem_a" and args.formation is not None):
@@ -116,32 +99,15 @@ def _cmd_verify(args) -> int:
             "--pi applies only to `verify theorem_a --formation ...`")
     if args.formation is not None and name != "theorem_a":
         raise PreconditionViolated("--formation applies only to `verify theorem_a`")
-    if name in ("baer", "all"):
-        reports.append(suite_baer(args.max_order, args.soluble_only))
-    if name in ("theorem_a", "all"):
-        if name == "theorem_a" and args.formation is not None:
-            reports.append(suite_theorem_a(
-                parse_formation(args.formation), pi,
-                args.max_order, args.soluble_only))
-        else:
-            reports.extend(_theorem_a_reports(args))
-            reports.append(suite_pnilp_structure(2, args.max_order, args.soluble_only))
-            reports.append(suite_pnilp_structure(3, args.max_order, args.soluble_only))
-    if name in ("theorem_b", "all"):
-        for r in (1, 2, 3):
-            reports.append(suite_theorem_b(r, args.max_order))
-    if name in ("theorem_c", "all"):
-        reports.append(suite_theorem_c(args.max_order, args.soluble_only))
-    if name in ("theorem_d", "all"):
-        reports.append(suite_theorem_d(args.max_order, args.soluble_only))
-    if name in ("example_1_2", "all"):
-        reports.append(suite_example_1_2())
-    if name in ("boundary", "all"):
-        for F in CERTIFIED_BOUNDARY:
-            reports.append(suite_boundary(F, certified_boundary_pi(F),
-                                          args.max_order, args.soluble_only))
-    if not reports:
-        raise ValueError(f"unknown suite {args.suite!r}")
+    if args.formation is not None:
+        statements = [theorem_a_statement(parse_formation(args.formation), pi)]
+    else:
+        statements = [s for s in STATEMENTS if name in (s.verify, "all")]
+    if not statements:
+        raise ValueError(f"unknown suite {name!r}; valid suites: "
+                         + ", ".join(VERIFY_NAMES))
+    reports = [run(s, s.groups(args.max_order, args.soluble_only))
+               for s in statements]
     _emit([r.to_json() for r in reports])
     certified_failed = any(not r.passed and r.label == "certified"
                            for r in reports)
@@ -177,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(fn=_cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", help="baer | theorem_a | theorem_b | theorem_c"
-                                     " | theorem_d | example_1_2 | boundary | all")
+    p_ver.add_argument("suite", help=" | ".join(VERIFY_NAMES))
     p_ver.add_argument("--formation", default=None)
     p_ver.add_argument("--pi", default="all")
     p_ver.add_argument("--max-order", type=int, default=None)

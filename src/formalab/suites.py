@@ -1,19 +1,21 @@
-"""Catalog-wide verification suites for the hypercentre/intersection theory.
+"""Catalog-wide verification of the hypercentre/intersection theory.
 
-Each suite checks one universally-quantified statement over every shipped
-catalog group and reports per-group verdicts.  Certified suites must pass;
-exploratory configurations are allowed to fail and are labeled as such.
+Each statement is one `Statement` record, checked one group at a time by
+`run`; `STATEMENTS` is the table `formalab verify` reads.  Certified
+statements are theorems and must pass; exploratory ones may fail.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .catalog import catalog, catalog_group, designated_module
-from .chiefs import z_f, z_pi_f
+from .chiefs import chief_series, chief_series_through, is_f_central, z_f, z_pi_f
 from .criticality import boundary_scan
 from .errors import ConstructionFailed
 from .formations import (
@@ -27,9 +29,17 @@ from .formations import (
     p_nilp,
     p_sup,
 )
-from .groups import Group, SubgroupSet, is_normal, quotient_group
-from .intersections import f_max_report, int_f, int_star_f
-from .lattice import hypercentre, o_pi, prime_factors
+from .groups import Group, is_normal, quotient_group
+from .intersections import f_max_report, f_maximal_subgroups, int_f, int_star_f
+from .lattice import (
+    all_subgroups,
+    hypercentre,
+    minimal_normal_subgroups,
+    o_pi,
+    prime_factors,
+    subgroup_as_group,
+    translate_out,
+)
 
 THEOREM_D_FORMATIONS = (NIL, SUP, p_nilp(2), p_nilp(3), p_dec(2), NA)
 CERTIFIED_BOUNDARY = (NIL, p_dec(2), p_dec(3), p_nilp(2), p_nilp(3), NA)
@@ -37,7 +47,7 @@ CERTIFIED_BOUNDARY = (NIL, p_dec(2), p_dec(3), p_nilp(2), p_nilp(3), NA)
 
 @dataclass
 class SuiteReport:
-    """Result of one suite run; passes iff every per-group verdict passes."""
+    """Result of one statement's run; passes iff every per-group verdict passes."""
 
     suite: str
     verdicts: list[dict] = field(default_factory=list)
@@ -60,6 +70,45 @@ class SuiteReport:
                 "failures": self.failures, "elapsed_s": round(self.elapsed, 3)}
 
 
+@dataclass(frozen=True)
+class Statement:
+    """One statement about a group, checked group by group.
+
+    `check(G)` gives (ok, data); `witness(G)`, where given, explains a
+    failing group.  `verify` names the `formalab verify` selection that runs
+    the statement.  It ranges over the catalog, over its soluble part when
+    `soluble` is set, or over the one catalog group named by `only`.
+    """
+
+    name: str
+    verify: str
+    check: Callable[[Group], tuple[bool, dict]]
+    label: str = "certified"
+    soluble: bool = False
+    only: str | None = None
+    witness: Callable[[Group], dict] | None = None
+
+    def groups(self, max_order: int | None = None,
+               soluble_only: bool = False) -> list[Group]:
+        """The catalog groups it ranges over; `only` ignores both filters."""
+        if self.only is not None:
+            return [catalog_group(self.only)]
+        return suite_groups(max_order, soluble_only or self.soluble)
+
+
+def run(statement: Statement, groups: Iterable[Group]) -> SuiteReport:
+    """Check `statement` on each group in turn; `elapsed` times this loop."""
+    rep = SuiteReport(statement.name, label=statement.label)
+    t0 = time.monotonic()
+    for G in groups:
+        ok, data = statement.check(G)
+        rep.add(G.name, ok, data)
+        if not ok and statement.witness is not None:
+            rep.failures[-1]["witness"] = statement.witness(G)
+    rep.elapsed = time.monotonic() - t0
+    return rep
+
+
 def suite_groups(max_order: int | None = None,
                  soluble_only: bool = False) -> list[Group]:
     out = []
@@ -72,123 +121,84 @@ def suite_groups(max_order: int | None = None,
     return out
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.monotonic()
-        rep = fn(*args, **kwargs)
-        rep.elapsed = time.monotonic() - t0
-        return rep
-    return wrapper
+def _baer(G: Group) -> tuple[bool, dict]:
+    """Int_Nil(G) == Z_Nil(G) == Z_inf(G)."""
+    i = int_f(G, NIL)
+    z = z_f(G, NIL)
+    h = hypercentre(G)
+    return (i.bits == z.bits == h.bits,
+            {"int_nil": i.order, "z_nil": z.order, "hypercentre": h.order})
 
 
-@_timed
-def suite_baer(max_order: int | None = None,
-               soluble_only: bool = False) -> SuiteReport:
-    """Int_Nil(G) == Z_Nil(G) == Z_inf(G) for every catalog group."""
-    rep = SuiteReport("baer")
-    for G in suite_groups(max_order, soluble_only):
-        i = int_f(G, NIL)
-        z = z_f(G, NIL)
-        h = hypercentre(G)
-        rep.add(G.name, i.bits == z.bits == h.bits,
-                {"int_nil": i.order, "z_nil": z.order, "hypercentre": h.order})
-    return rep
+def _z_is_int(F: FormationSpec, pi, G: Group) -> tuple[bool, dict]:
+    """Z_piF(G) == Int_F(G)."""
+    z = z_pi_f(G, F, pi)
+    i = int_f(G, F)
+    return z.bits == i.bits, {"z": z.order, "int": i.order}
 
 
-def is_certified_theorem_a(F: FormationSpec, pi) -> bool:
-    """The (F, pi) configurations for which the equality is a theorem."""
-    if F.tag in ("Nil", "NA") or F.tag == "pDec":
-        return True
-    if F.tag == "pNilp":
-        return pi is not None and set(pi) == {F.p}
-    return False
+def _z_is_int_witness(F: FormationSpec, pi, G: Group) -> dict:
+    """Where Z = Z_piF(G) and Int = Int_F(G) part, as sorted element lists:
+    if Int is not in Z, the first non-F-central chief factor H/K below Int,
+    with a prime of pi dividing |H/K|, of the chief series through Int (as
+    `z_pi_f_oracle` reads it); if Z is not in Int, the F-maximal subgroups
+    that miss Z."""
+    z = z_pi_f(G, F, pi)
+    i = int_f(G, F)
+    out = {}
+    if not i.issubset(z):
+        for fac in chief_series_through(G, i).factors:
+            if not fac.H.issubset(i):
+                break
+            if ((pi is None or set(fac.primes) & set(pi))
+                    and not is_f_central(G, fac, F)):
+                out["chief_factor"] = {"H": fac.H.elements.tolist(),
+                                       "K": fac.K.elements.tolist()}
+                break
+    if not z.issubset(i):
+        out["f_maximal_missing_z"] = [M.elements.tolist()
+                                      for M in f_maximal_subgroups(G, F)
+                                      if not z.issubset(M)]
+    return out
 
 
-@_timed
-def suite_theorem_a(F: FormationSpec, pi=None,
-                    max_order: int | None = None,
-                    soluble_only: bool = False) -> SuiteReport:
-    """Z_piF(G) == Int_F(G) for every catalog group."""
-    rep = SuiteReport(f"theorem_a[{F}, pi={'all' if pi is None else sorted(pi)}]")
-    if not is_certified_theorem_a(F, pi):
-        rep.label = "exploratory"
-    for G in suite_groups(max_order, soluble_only):
-        z = z_pi_f(G, F, pi)
-        i = int_f(G, F)
-        rep.add(G.name, z.bits == i.bits, {"z": z.order, "int": i.order})
-    return rep
-
-
-@_timed
-def suite_pnilp_structure(p: int, max_order: int | None = None,
-                          soluble_only: bool = False) -> SuiteReport:
+def _pnilp_structure(p: int, G: Group) -> tuple[bool, dict]:
     """D = Int_{pNilp(p)}(G) satisfies O_{p'}(D) = O_{p'}(G), and the image
     of D in G/O_{p'}(G) lies inside the hypercentre of that quotient."""
-    rep = SuiteReport(f"pnilp_structure[p={p}]")
-    for G in suite_groups(max_order, soluble_only):
-        pprime = frozenset(q for q in prime_factors(G.n) if q != p)
-        D = int_f(G, p_nilp(p))
-        og = o_pi(G, pprime)
-        od = _o_pi_of_subgroup(G, D, pprime)
-        qm = quotient_group(G, og)
-        img = qm.image_of(D)
-        central = img.issubset(hypercentre(qm.target))
-        rep.add(G.name, od.bits == og.bits and central,
-                {"int": D.order, "o_pprime_G": og.order,
-                 "o_pprime_D": od.order, "image_central": central})
-    return rep
-
-
-def _o_pi_of_subgroup(G: Group, D: SubgroupSet, pi) -> SubgroupSet:
-    from .lattice import subgroup_as_group, translate_out
+    pprime = frozenset(q for q in prime_factors(G.n) if q != p)
+    D = int_f(G, p_nilp(p))
+    og = o_pi(G, pprime)
     sub, _ = subgroup_as_group(G, D)
-    return translate_out(G, D, o_pi(sub, pi))
+    od = translate_out(G, D, o_pi(sub, pprime))
+    qm = quotient_group(G, og)
+    img = qm.image_of(D)
+    central = img.issubset(hypercentre(qm.target))
+    return (od.bits == og.bits and central,
+            {"int": D.order, "o_pprime_G": og.order,
+             "o_pprime_D": od.order, "image_central": central})
 
 
-@_timed
-def suite_theorem_b(r: int, max_order: int | None = None) -> SuiteReport:
-    """Z_F == Int_F for F the soluble groups of nilpotent length <= r,
-    over the soluble part of the catalog."""
-    rep = SuiteReport(f"theorem_b[r={r}]")
-    F = nil_pow(r)
-    for G in suite_groups(max_order, soluble_only=True):
-        z = z_f(G, F)
-        i = int_f(G, F)
-        rep.add(G.name, z.bits == i.bits, {"z": z.order, "int": i.order})
-    return rep
-
-
-@_timed
-def suite_theorem_c(max_order: int | None = None,
-                    soluble_only: bool = False) -> SuiteReport:
+def _theorem_c(G: Group) -> tuple[bool, dict]:
     """Int_Sup(G) <= Int_SylTower(G), and Int_Nil(G) <= Z_NA(G)."""
-    rep = SuiteReport("theorem_c")
-    for G in suite_groups(max_order, soluble_only):
-        a = int_f(G, SUP)
-        b = int_f(G, SYLTOWER)
-        c = int_f(G, NIL)
-        d = z_f(G, NA)
-        rep.add(G.name, a.issubset(b) and c.issubset(d),
-                {"int_sup": a.order, "int_syltower": b.order,
-                 "int_nil": c.order, "z_na": d.order})
-    return rep
+    a = int_f(G, SUP)
+    b = int_f(G, SYLTOWER)
+    c = int_f(G, NIL)
+    d = z_f(G, NA)
+    return (a.issubset(b) and c.issubset(d),
+            {"int_sup": a.order, "int_syltower": b.order,
+             "int_nil": c.order, "z_na": d.order})
 
 
-@_timed
-def suite_theorem_d(max_order: int | None = None,
-                    soluble_only: bool = False) -> SuiteReport:
+def _theorem_d(G: Group) -> tuple[bool, dict]:
     """Int*_F == Int_F for the six shipped hereditary saturated formations."""
-    rep = SuiteReport("theorem_d")
-    for G in suite_groups(max_order, soluble_only):
-        data = {}
-        ok = True
-        for F in THEOREM_D_FORMATIONS:
-            i = int_f(G, F)
-            s = int_star_f(G, F)
-            data[str(F)] = {"int": i.order, "int_star": s.order}
-            ok = ok and i.bits == s.bits
-        rep.add(G.name, ok, data)
-    return rep
+    data = {}
+    ok = True
+    for F in THEOREM_D_FORMATIONS:
+        i = int_f(G, F)
+        s = int_star_f(G, F)
+        data[str(F)] = {"int": i.order, "int_star": s.order}
+        ok = ok and i.bits == s.bits
+    return ok, data
 
 
 def _module_simplicity_oracle(G: Group) -> None:
@@ -198,7 +208,6 @@ def _module_simplicity_oracle(G: Group) -> None:
     vel = V.elements
     # proper nonzero invariant subspaces are exactly the invariant subgroups
     # of V of order 3 or 9; conjugation by G must move each of them
-    from .lattice import all_subgroups, subgroup_as_group, translate_out
     sub, _ = subgroup_as_group(G, V)
     for s in all_subgroups(sub).subgroups:
         if s.order not in (3, 9):
@@ -215,40 +224,25 @@ def _module_simplicity_oracle(G: Group) -> None:
         raise ConstructionFailed("acting group is not faithful on the module")
 
 
-@_timed
-def suite_example_1_2() -> SuiteReport:
+def _example_1_2(G: Group) -> tuple[bool, dict]:
     """The order-324 group where Int over the supersoluble groups is the
-    whole module yet Int over the larger 3-supersoluble class is trivial."""
-    rep = SuiteReport("example_1_2")
-    G = catalog_group("Ex1.2")
+    whole module yet Int over the larger 3-supersoluble class is trivial;
+    the module is first checked simple and faithful by enumeration."""
     _module_simplicity_oracle(G)
     P = designated_module(G)
-    from .lattice import minimal_normal_subgroups
     minimal = any(m.bits == P.bits for m in minimal_normal_subgroups(G))
     i_sup = int_f(G, SUP)
     i_psup = int_f(G, p_sup(3))
     ok = (minimal and P.order == 27 and i_sup.bits == P.bits
           and i_psup.order == 1)
-    rep.add(G.name, ok, {"P": P.order, "P_minimal_normal": minimal,
-                         "int_sup": i_sup.order, "int_psup3": i_psup.order})
-    return rep
+    return ok, {"P": P.order, "P_minimal_normal": minimal,
+                "int_sup": i_sup.order, "int_psup3": i_psup.order}
 
 
-@_timed
-def suite_boundary(F: FormationSpec, pi, max_order: int | None = None,
-                   soluble_only: bool = False) -> SuiteReport:
-    """Boundary-condition scan; passes iff no catalog witness exists."""
-    rep = SuiteReport(f"boundary[{F}, pi={sorted(pi)}]")
-    if F not in CERTIFIED_BOUNDARY:
-        rep.label = "exploratory"
-    groups = suite_groups(max_order, soluble_only)
-    witnesses = boundary_scan(F, pi, groups)
-    names = {w.group: w for w in witnesses}
-    for G in groups:
-        w = names.get(G.name)
-        rep.add(G.name, w is None,
-                {} if w is None else {"critical_at_p": w.p})
-    return rep
+def _no_boundary_witness(F: FormationSpec, pi, G: Group) -> tuple[bool, dict]:
+    """G is not F(p)-critical outside F for any p in pi."""
+    found = boundary_scan(F, pi, [G])
+    return not found, ({"critical_at_p": found[0].p} if found else {})
 
 
 def certified_boundary_pi(F: FormationSpec) -> frozenset[int]:
@@ -258,10 +252,53 @@ def certified_boundary_pi(F: FormationSpec) -> frozenset[int]:
     return frozenset({2, 3, 5})
 
 
+def theorem_a_statement(F: FormationSpec, pi=None) -> Statement:
+    """Z_piF(G) == Int_F(G).
+
+    Certified where it is a theorem: Nil, NA and pDec(p) with pi the set of
+    all primes, and pNilp(p) with pi = {p}.  Any other (F, pi) is
+    exploratory; Nil with pi = {2}, for one, fails on S3.
+    """
+    if F.tag in ("Nil", "NA", "pDec"):
+        certified = pi is None
+    else:
+        certified = F.tag == "pNilp" and pi is not None and set(pi) == {F.p}
+    return Statement(
+        f"theorem_a[{F}, pi={'all' if pi is None else sorted(pi)}]", "theorem_a",
+        partial(_z_is_int, F, pi), "certified" if certified else "exploratory",
+        witness=partial(_z_is_int_witness, F, pi))
+
+
+def boundary_statement(F: FormationSpec, pi) -> Statement:
+    """Boundary-condition scan; a group passes iff it is no witness."""
+    return Statement(f"boundary[{F}, pi={sorted(pi)}]", "boundary",
+                     partial(_no_boundary_witness, F, frozenset(pi)),
+                     "certified" if F in CERTIFIED_BOUNDARY else "exploratory")
+
+
+# every statement `verify` runs, in the order of `verify all`
+STATEMENTS = (
+    Statement("baer", "baer", _baer),
+    *(theorem_a_statement(F, pi) for F, pi in (
+        (NIL, None), (p_dec(2), None), (p_dec(3), None),
+        (p_nilp(2), frozenset({2})), (p_nilp(3), frozenset({3})), (NA, None))),
+    *(Statement(f"pnilp_structure[p={p}]", "theorem_a",
+                partial(_pnilp_structure, p)) for p in (2, 3)),
+    # theorem B: Z_F == Int_F for F the soluble groups of nilpotent length
+    # <= r, over soluble groups
+    *(Statement(f"theorem_b[r={r}]", "theorem_b", partial(_z_is_int, nil_pow(r), None),
+                soluble=True, witness=partial(_z_is_int_witness, nil_pow(r), None))
+      for r in (1, 2, 3)),
+    Statement("theorem_c", "theorem_c", _theorem_c),
+    Statement("theorem_d", "theorem_d", _theorem_d),
+    Statement("example_1_2", "example_1_2", _example_1_2, only="Ex1.2"),
+    *(boundary_statement(F, certified_boundary_pi(F)) for F in CERTIFIED_BOUNDARY),
+)
+
+
 def analyze_report(G: Group, F: FormationSpec, pi=None) -> dict:
     """Single-group analysis: chief series with centrality verdicts, the
     hypercentre, both intersections, and the F-maximal family."""
-    from .chiefs import chief_series, is_f_central
     series = chief_series(G)
     factors = []
     for fac in series.factors:

@@ -22,18 +22,20 @@ from formalab import (
 )
 from formalab.errors import ClosureCapExceeded
 from formalab.suites import (
+    STATEMENTS,
+    boundary_statement,
     certified_boundary_pi,
-    suite_baer,
-    suite_boundary,
-    suite_example_1_2,
-    suite_pnilp_structure,
-    suite_theorem_a,
-    suite_theorem_b,
-    suite_theorem_c,
-    suite_theorem_d,
+    run,
+    theorem_a_statement,
 )
 
 SATELLITE_MENU = (NIL, SUP, NA, p_nilp(2), p_nilp(3), p_dec(2), p_dec(3))
+STATEMENT = {s.name: s for s in STATEMENTS}
+
+
+def _run(statement):
+    """One statement over the catalog groups it ranges over."""
+    return run(statement, statement.groups())
 
 
 def _verdict(num: int, title: str, ok: bool, detail: str = "") -> None:
@@ -43,7 +45,7 @@ def _verdict(num: int, title: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_baer():
-    rep = suite_baer()
+    rep = _run(STATEMENT["baer"])
     _verdict(1, "Int_Nil == Z_Nil == hypercentre on all catalog groups",
              rep.passed and rep.elapsed < 60,
              f"{len(rep.verdicts)} groups in {rep.elapsed:.1f}s")
@@ -53,7 +55,7 @@ def test_criterion_02_theorem_a_certified():
     t0 = time.monotonic()
     configs = [(p_dec(2), None), (p_dec(3), None), (p_nilp(2), {2}),
                (p_nilp(3), {3}), (NA, None)]
-    reports = [suite_theorem_a(F, pi) for F, pi in configs]
+    reports = [_run(theorem_a_statement(F, pi)) for F, pi in configs]
     ok = all(r.passed and r.label == "certified" for r in reports)
     elapsed = time.monotonic() - t0
     _verdict(2, "Z_piF == Int_F for the five certified configurations",
@@ -61,39 +63,39 @@ def test_criterion_02_theorem_a_certified():
 
 
 def test_criterion_03_pnilp_structure():
-    reports = [suite_pnilp_structure(p) for p in (2, 3)]
+    reports = [_run(STATEMENT[f"pnilp_structure[p={p}]"]) for p in (2, 3)]
     _verdict(3, "Int_{pNilp(p)} has full O_p' and hypercentral image, p in {2,3}",
              all(r.passed for r in reports))
 
 
 def test_criterion_04_theorem_b():
     t0 = time.monotonic()
-    reports = [suite_theorem_b(r) for r in (1, 2, 3)]
+    reports = [_run(STATEMENT[f"theorem_b[r={r}]"]) for r in (1, 2, 3)]
     elapsed = time.monotonic() - t0
     _verdict(4, "Z == Int for nilpotent length <= r on soluble groups, r in 1..3",
              all(r.passed for r in reports) and elapsed < 180, f"{elapsed:.1f}s")
 
 
 def test_criterion_05_theorem_d():
-    rep = suite_theorem_d()
+    rep = _run(STATEMENT["theorem_d"])
     _verdict(5, "Int* == Int for the six hereditary saturated formations",
              rep.passed and rep.elapsed < 300, f"{rep.elapsed:.1f}s")
 
 
 def test_criterion_06_sup_below_syltower():
-    rep = suite_theorem_c()
+    rep = _run(STATEMENT["theorem_c"])
     _verdict(6, "Int_Sup contained in Int_SylTower on all catalog groups",
              rep.passed and rep.elapsed < 120, f"{rep.elapsed:.1f}s")
 
 
 def test_criterion_07_negative_controls():
     t0 = time.monotonic()
-    expl = suite_theorem_a(SUP, {3})
+    expl = _run(theorem_a_statement(SUP, {3}))
     s4_fail = any(f["group"] == "S4"
                   and f["data"] == {"z": 24, "int": 1} for f in expl.failures)
-    scan = suite_boundary(SUP, {3})
+    scan = _run(boundary_statement(SUP, {3}))
     a4_witness = any(f["group"] == "A4" for f in scan.failures)
-    ex = suite_example_1_2()
+    ex = _run(STATEMENT["example_1_2"])
     elapsed = time.monotonic() - t0
     ok = (expl.label == "exploratory" and not expl.passed and s4_fail
           and scan.label == "exploratory" and a4_witness and ex.passed)
@@ -144,7 +146,7 @@ def test_criterion_10_boundary_scans():
     t0 = time.monotonic()
     ok = True
     for F in (NIL, p_dec(2), p_dec(3), p_nilp(2), p_nilp(3), NA):
-        rep = suite_boundary(F, certified_boundary_pi(F))
+        rep = _run(boundary_statement(F, certified_boundary_pi(F)))
         ok = ok and rep.passed and rep.label == "certified"
     elapsed = time.monotonic() - t0
     _verdict(10, "boundary scans for the certified formations find no witness",

@@ -99,6 +99,16 @@ def test_verify_exploratory_failure_does_not_gate(capsys):
     assert data[0]["pass"] is False
 
 
+def test_verify_theorem_a_with_a_proper_pi_is_exploratory_for_nil(capsys):
+    # Z_piNil = Int_Nil is a theorem only for pi = all primes: on S3 with
+    # pi = {2} the 3-chief factor is exempt, so Z = S3 while Int = 1
+    code, data = run(capsys, "verify", "theorem_a", "--formation", "nil",
+                     "--pi", "2", "--max-order", "12")
+    assert code == EXIT_OK
+    assert data[0]["label"] == "exploratory"
+    assert "S3" in {f["group"] for f in data[0]["failures"]}
+
+
 def test_verify_baer_small(capsys):
     code, data = run(capsys, "verify", "baer", "--max-order", "30")
     assert code == EXIT_OK
