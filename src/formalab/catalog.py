@@ -164,7 +164,8 @@ def _json_int(value, field: str) -> int:
 
 
 def _json_int_array(value, field: str) -> np.ndarray:
-    """Nested lists whose leaves are all JSON integers, as an index array."""
+    """Nested lists whose leaves are all JSON integers, as an index array;
+    a ragged nesting is refused."""
     stack = [value]
     while stack:
         v = stack.pop()
@@ -172,7 +173,14 @@ def _json_int_array(value, field: str) -> np.ndarray:
             stack.extend(v)
         else:
             _json_int(v, f"every {field} entry")
-    return np.asarray(value, dtype=np.intp)
+    try:
+        return np.asarray(value, dtype=np.intp)
+    except ValueError as exc:  # numpy's message for an inhomogeneous shape
+        raise PreconditionViolated(
+            f"{field} must be a rectangular array, got ragged lists") from exc
+    except OverflowError as exc:
+        raise PreconditionViolated(
+            f"every {field} entry must fit in a machine integer") from exc
 
 
 def _resolve(ref, resolve: Resolver) -> Group:

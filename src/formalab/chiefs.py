@@ -211,14 +211,14 @@ def z_pi_f(G: Group, F: FormationSpec, pi=None, absorb: str = "all") -> Subgroup
             mins = list(reversed(mins))
         passing = []
         for N in mins:
-            fac = ChiefFactor(G, N, Z)
-            if not (set(fac.primes) & pi) or is_f_central(G, fac, F):
+            if pi.isdisjoint(prime_factors(N.order // Z.order)) \
+                    or _is_f_central(G, N, Z, F):
                 passing.append(N)
                 if absorb != "all":
                     break
         if not passing:
             break
-        Z = normal_product(G, passing)
+        Z = passing[0] if len(passing) == 1 else normal_product(G, passing)
     return Z
 
 

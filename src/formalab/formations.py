@@ -180,8 +180,8 @@ def parse_formation(text: str) -> FormationSpec:
 def _pi_elements_form_normal_hall(G: Group, pi) -> bool:
     """True iff the pi-elements form a subgroup of full pi-part order."""
     pi = frozenset(pi)
-    orders = element_orders(G)
-    mask = np.array([all(q in pi for q in prime_factors(int(o))) for o in orders])
+    orders, which = np.unique(element_orders(G), return_inverse=True)
+    mask = np.array([pi.issuperset(prime_factors(o)) for o in orders.tolist()])[which]
     elems = np.flatnonzero(mask)
     if elems.size != pi_part(G.n, pi):
         return False

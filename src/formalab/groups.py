@@ -75,6 +75,21 @@ def elems_of(bits: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).copy()
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 _MISS = object()
 
 
@@ -402,10 +417,79 @@ def conjugacy_classes(G: Group) -> list[np.ndarray]:
 def class_normal_closures(G: Group) -> list[SubgroupSet]:
     """The distinct normal closures <x^G> of the conjugacy classes, each
     once, in order of the first class (`conjugacy_classes` order) that has
-    it.  Every group closes each of its classes itself."""
-    found = dict.fromkeys(bits_of(closure_elements(G, cls))
-                          for cls in conjugacy_classes(G))
+    it.  Every group closes each of its classes itself.
+
+    Only classes of prime-power order are closed, each cyclic subgroup
+    once: for k prime to o(x), x^k has the same closure as x.  The closure
+    of any other class is the product of those of x^(o/q), one for each
+    largest prime power q dividing o = o(x), because <x^G> is the product
+    of the normal closures of the primary parts of <x>.
+    """
+    classes = conjugacy_classes(G)
+    cid = np.empty(G.n, dtype=np.intp)
+    for i, cls in enumerate(classes):
+        cid[cls] = i
+    reps = np.array([cls[0] for cls in classes], dtype=np.intp)
+    rep_orders = element_orders(G)[reps]
+    # powers[k, i] = reps[i]^k, for k up to the exponent
+    powers = np.empty((int(rep_orders.max()) + 1, reps.size), dtype=np.intp)
+    powers[0] = 0
+    for k in range(1, powers.shape[0]):
+        powers[k] = G.mul[powers[k - 1], reps]
+    primes = {o: prime_factors(o) for o in set(rep_orders.tolist())}
+    # the exponents k prime to o, for each order o (k = 1 for o = 1)
+    coprime = {o: [k for k in range(1, max(o, 2)) if all(k % p for p in ps)]
+               for o, ps in primes.items()}
+    closure: list[SubgroupSet | None] = [None] * len(classes)
+    # primary classes first, so every primary part is closed when it is read
+    for primary in (True, False):
+        for i, o in enumerate(rep_orders.tolist()):
+            ps = primes[o]
+            if closure[i] is not None or (len(ps) <= 1) != primary:
+                continue
+            if primary:
+                ncl = SubgroupSet(G, bits_of(_normal_closure_elements(G, classes[i])),
+                                  check=False)
+            else:
+                parts = [powers[o // _prime_power_part(o, p), i] for p in ps]
+                ncl = normal_product(G, [closure[cid[y]] for y in parts])
+            for j in cid[powers[coprime[o], i]].tolist():
+                closure[j] = ncl
+    found = dict.fromkeys(s.bits for s in closure)
     return [SubgroupSet(G, b, check=False) for b in found]
+
+
+def _normal_closure_elements(G: Group, seed: np.ndarray) -> np.ndarray:
+    """`closure_elements` for a seed that is a union of conjugacy classes.
+
+    Every set met on the way is then conjugation-invariant, and two such
+    sets A, B have AB = BA, so multiplying the frontier by the elements on
+    one side finds every product.
+    """
+    n, mul = G.n, G.mul
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    mask[seed] = True
+    elems = new = np.flatnonzero(mask)
+    while True:
+        hit = np.zeros(n, dtype=bool)
+        hit[mul[new[:, None], elems]] = True
+        hit &= ~mask
+        if not hit.any():
+            return elems
+        mask |= hit
+        elems = np.flatnonzero(mask)
+        if elems.size > n // 2:
+            return np.arange(n)
+        new = np.flatnonzero(hit)
+
+
+def _prime_power_part(o: int, p: int) -> int:
+    """The largest power of the prime p dividing o."""
+    q = 1
+    while o % (q * p) == 0:
+        q *= p
+    return q
 
 
 def normal_product(G: Group, subs: Iterable[SubgroupSet]) -> SubgroupSet:
@@ -433,14 +517,17 @@ def conjugate_rows(G: Group, kel: np.ndarray, gs: Iterable[int]) -> np.ndarray:
 
 @memo("elem_orders")
 def element_orders(G: Group) -> np.ndarray:
+    """Order of each element: the powers x^k of all x are taken at once,
+    one table gather per k, until every element has met the identity."""
     orders = np.zeros(G.n, dtype=np.intp)
-    for x in range(G.n):
-        k, y = 1, x
-        while y != 0:
-            y = G.op(y, x)
-            k += 1
-        orders[x] = k
-    return orders
+    ar = np.arange(G.n)
+    power, k = ar, 1
+    while True:
+        orders[(power == 0) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        power = G.mul[power, ar]
+        k += 1
 
 
 # -- constructors -----------------------------------------------------------
@@ -649,12 +736,17 @@ def matrix_module_semidirect(p: int, dim: int, mats: Sequence, H: Group,
         raise RelationMismatch(
             f"need one matrix per generator of {H.name} "
             f"({len(H.gen_idx)}), got {len(mats)}")
+    mats = [np.asarray(m, dtype=np.intp) for m in mats]
+    for i, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise PreconditionViolated(
+                f"generator matrix {i} must be {dim}x{dim}, got shape {m.shape}")
     n = p ** dim * H.n
     if n > ORDER_CAP:
         raise ClosureCapExceeded(
             f"matrix module extension order {n} exceeds cap {ORDER_CAP}")
     V = elementary_abelian_vector_group(p, dim)
-    perms = [_vector_index_perm(p, dim, np.asarray(m, dtype=np.intp)) for m in mats]
+    perms = [_vector_index_perm(p, dim, m) for m in mats]
     try:
         G = semidirect_product(V, H, extend_action(H, perms, V.n),
                                name=name or f"F{p}^{dim} : {H.name}")

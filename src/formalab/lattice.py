@@ -48,25 +48,11 @@ from .groups import (
     is_normal,
     memo,
     normal_product,
+    prime_factors,
     quotient_group,
 )
 
 SUBGROUP_CAP = 20000
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime divisors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def is_small_prime(p: int) -> bool:

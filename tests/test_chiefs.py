@@ -41,6 +41,7 @@ from formalab.groups import (
     closure_elements,
     conjugacy_classes,
     direct_product,
+    element_orders,
     group_from_permutations,
 )
 from formalab.lattice import hypercentre, normal_subgroups
@@ -279,6 +280,57 @@ def test_minimal_normals_over_match_closure_reference_on_random_groups(spec):
 
 def _link_free(D):
     return Group(D.mul, D.name, gen_idx=D.gen_idx)
+
+
+def _class_closures_by_reference(G):
+    """Reference: close every conjugacy class in both directions."""
+    return list(dict.fromkeys(bits_of(closure_elements(G, c))
+                              for c in conjugacy_classes(G)))
+
+
+def _element_orders_by_loop(G):
+    orders = []
+    for x in range(G.n):
+        k, y = 1, x
+        while y != 0:
+            y, k = G.op(y, x), k + 1
+        orders.append(k)
+    return orders
+
+
+def _assert_class_kernels_match_references(G):
+    assert [s.bits for s in class_normal_closures(G)] == \
+        _class_closures_by_reference(G), G.name
+    assert element_orders(G).tolist() == _element_orders_by_loop(G), G.name
+
+
+def test_class_kernels_match_references_catalogwide():
+    for G in catalog_groups():
+        _assert_class_kernels_match_references(G)
+
+
+def test_class_kernels_match_references_on_small_quotients():
+    for G in catalog_groups():
+        if G.n <= 48:
+            for N in normal_subgroups(G):
+                _assert_class_kernels_match_references(quotient_group(G, N).target)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_two_perms)
+def test_class_kernels_match_references_on_random_groups(spec):
+    _assert_class_kernels_match_references(_small_group(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_two_perms)
+def test_absorb_schedule_independence_on_random_groups(spec):
+    G = _small_group(spec)
+    for F in SATELLITE_FORMATIONS:
+        for pi in (None, {2}, {3}):
+            ref = z_pi_f(G, F, pi).bits
+            assert z_pi_f(G, F, pi, absorb="first").bits == ref, (F, pi)
+            assert z_pi_f(G, F, pi, absorb="last").bits == ref, (F, pi)
 
 
 def test_quotient_class_closures_match_a_link_free_copy():

@@ -321,6 +321,29 @@ def test_analyze_spec_with_non_integer_or_non_prime_number(capsys, tmp_path, spe
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "matrix_module", "actor": "C2", "p": 2, "dim": 2,
+      "generators": [[[1, 0], [0]]]}, "matrix must be a rectangular array"),
+    ({"kind": "table", "table": [[0, 1], [1]]}, "table must be a rectangular array"),
+    ({"kind": "semidirect", "normal": "C3", "actor": "C2", "action": [[0, [2], 1]]},
+     "action must be a rectangular array"),
+    ({"kind": "matrix_module", "actor": "C2", "p": 2, "dim": 2,
+      "generators": [[[1, 1]]]}, "generator matrix 0 must be 2x2, got shape (1, 2)"),
+    ({"kind": "matrix_module", "actor": "C2", "p": 2, "dim": 2,
+      "generators": [5]}, "generator matrix 0 must be 2x2, got shape ()"),
+    ({"kind": "table", "table": [[0, 2 ** 70], [1, 0]]},
+     "every table entry must fit in a machine integer"),
+], ids=["matrix-ragged", "table-ragged", "action-ragged", "matrix-1x2",
+        "matrix-scalar", "table-entry-too-large"])
+def test_analyze_spec_array_of_the_wrong_shape(capsys, tmp_path, spec, message):
+    # these once ended on numpy's own messages (matmul, inhomogeneous shape),
+    # and the oversized entry on an OverflowError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path)]) == EXIT_LOAD
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim", [-1, 0])
 def test_analyze_matrix_module_dim_below_one(capsys, tmp_path, dim):
     # -1 once exited 2 blaming a float: p**dim was 0.5
